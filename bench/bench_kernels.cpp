@@ -13,17 +13,14 @@
 #include <string>
 #include <vector>
 
-#include "core/metrics_plane.h"
 #include "core/system.h"
-#include "util/profiler.h"
 #include "net/network.h"
 #include "phy/spreader.h"
 #include "pn/correlation.h"
 #include "rfsim/channel.h"
 #include "rx/correlation_engine.h"
 #include "rx/decoder.h"
-#include "util/metrics.h"
-#include "util/telemetry.h"
+#include "util/obs.h"
 #include "util/timer.h"
 
 namespace {
@@ -247,7 +244,7 @@ BENCHMARK(BM_EndToEndBatchedManualClock)->Arg(5)->UseManualTime();
 /// session). Two counters feed the CI gates: ns_per_sample is the
 /// steady-state ingest cost, and rx_ring_bytes is the resident ring
 /// footprint — which must be identical between the 1x and 10x stream
-/// lengths, the O(window) memory claim of DESIGN.md §10
+/// lengths, the O(window) memory claim of DESIGN.md §9
 /// (check_perf_regression.py --ring-flat).
 void BM_StreamingRx(benchmark::State& state) {
   rx::ReceiverConfig cfg;
@@ -306,7 +303,7 @@ void BM_StreamingRx(benchmark::State& state) {
 }
 BENCHMARK(BM_StreamingRx)->Arg(1)->Arg(10);
 
-// --- detection correlation engines (DESIGN.md §9) --------------------------
+// --- detection correlation engines (DESIGN.md §8) --------------------------
 //
 // One batched peaks() call — every code of the family over one anchor
 // window — per iteration, the unit UserDetector pays once per detection
@@ -410,16 +407,14 @@ BENCHMARK(BM_NetMulticellRound)->Arg(2);
 /// Prometheus file — the export path stays empty so the figure measures
 /// sampling, not filesystem I/O). check_perf_regression.py
 /// --metrics-overhead gates this against the metrics-off twin at +2%
-/// ns_per_round. Telemetry's enabled flag is saved/restored because
-/// enabling the plane arms it.
+/// ns_per_round. Metrics on also records spans and counters (the plane
+/// samples them), so this measures that recording too.
 void BM_NetMulticellRoundMetrics(benchmark::State& state) {
-  const bool telemetry_was_on = telemetry::enabled();
   const bool metrics_was_on = metrics::enabled();
-  const std::string saved_path = metrics::export_path();
-  metrics::set_export_path("");
-  core::MetricsPlane::enable();
-  core::MetricsPlane::set_cadence(1);
-  core::MetricsPlane::reset();
+  const std::string saved_path = obs::path(obs::kMetrics);
+  obs::set_path(obs::kMetrics, "");
+  obs::set(obs::kMetrics, true);
+  obs::reset();
 
   const auto side = static_cast<std::size_t>(state.range(0));
   net::NetworkConfig cfg;
@@ -442,10 +437,9 @@ void BM_NetMulticellRoundMetrics(benchmark::State& state) {
       benchmark::Counter::kIsIterationInvariantRate | benchmark::Counter::kInvert);
   state.SetItemsProcessed(state.iterations() * cells);
 
-  core::MetricsPlane::reset();
-  metrics::set_export_path(saved_path);
-  metrics::set_enabled(metrics_was_on);
-  telemetry::set_enabled(telemetry_was_on);
+  obs::reset();
+  obs::set_path(obs::kMetrics, saved_path);
+  obs::set(obs::kMetrics, metrics_was_on);
 }
 BENCHMARK(BM_NetMulticellRoundMetrics)->Arg(2);
 
@@ -457,8 +451,8 @@ BENCHMARK(BM_NetMulticellRoundMetrics)->Arg(2);
 /// this against the profiler-off twin at +2% ns_per_round.
 void BM_NetMulticellRoundProfile(benchmark::State& state) {
   const bool profiler_was_on = profiler::enabled();
-  profiler::set_enabled(true);
-  profiler::reset();
+  obs::set(obs::kProfile, true);
+  obs::reset();
 
   const auto side = static_cast<std::size_t>(state.range(0));
   net::NetworkConfig cfg;
@@ -481,8 +475,8 @@ void BM_NetMulticellRoundProfile(benchmark::State& state) {
       benchmark::Counter::kIsIterationInvariantRate | benchmark::Counter::kInvert);
   state.SetItemsProcessed(state.iterations() * cells);
 
-  profiler::reset();
-  profiler::set_enabled(profiler_was_on);
+  obs::reset();
+  obs::set(obs::kProfile, profiler_was_on);
 }
 BENCHMARK(BM_NetMulticellRoundProfile)->Arg(2);
 

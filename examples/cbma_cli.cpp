@@ -12,15 +12,14 @@
 // With `--cells N` the CLI switches to the net:: multi-cell layer: an
 // N x N gateway grid over 6 m x 4 m bays, `--tags` tags per cell, shared
 // 64-code family sliced by the spatial-reuse scheduler. Ring geometry and
-// the probe/stream/interferer flags do not apply in that mode.
+// the stream/interferer flags do not apply in that mode.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <string>
 
-#include "core/probe_session.h"
-#include "core/profile_plane.h"
+#include "core/obs.h"
 #include "core/system.h"
 #include "mac/throughput.h"
 #include "net/network.h"
@@ -170,23 +169,26 @@ bool parse(int argc, char** argv, CliOptions& opt) {
   return true;
 }
 
-// With --profile: where did the time go — top-10 caller paths by exclusive
-// time out of the profiler's attribution tree, plus the collapsed-stack
-// export if CBMA_PROFILE=<path> also asked for the flamegraph file.
-void print_profile_report() {
-  if (!core::ProfilePlane::enabled()) return;
-  const auto rows = core::ProfilePlane::top_exclusive(10);
-  Table table({"caller path", "count", "incl ms", "excl ms"});
-  for (const auto& row : rows) {
-    table.add_row({row.path, std::to_string(row.count),
-                   Table::num(static_cast<double>(row.incl_ns) / 1e6, 3),
-                   Table::num(static_cast<double>(row.excl_ns) / 1e6, 3)});
+// The run's observability epilogue. With --profile: where did the time go
+// — top-10 caller paths by exclusive time out of the profiler's tree. Then
+// every export file the switchboard asks for (--probe dump, CBMA_PROFILE
+// flamegraph, ...). Returns main's exit code.
+int finish_observability() {
+  if (profiler::enabled()) {
+    Table table({"caller path", "count", "incl ms", "excl ms"});
+    for (const auto& row : obs::top_exclusive(10)) {
+      table.add_row({row.path, std::to_string(row.count),
+                     Table::num(static_cast<double>(row.incl_ns) / 1e6, 3),
+                     Table::num(static_cast<double>(row.excl_ns) / 1e6, 3)});
+    }
+    std::printf("\nprofile (top 10 by exclusive time):\n%s\n",
+                table.render().c_str());
   }
-  std::printf("\nprofile (top 10 by exclusive time):\n%s\n",
-              table.render().c_str());
-  if (!core::ProfilePlane::write_collapsed_if_requested()) {
-    std::fprintf(stderr, "profile: collapsed-stack export failed\n");
+  if (probe::enabled() && !obs::path(obs::kProbe).empty()) {
+    std::printf("probe dump         : %s (+ .json manifest)\n",
+                obs::path(obs::kProbe).c_str());
   }
+  return obs::write_exports() ? 0 : 1;
 }
 
 // Multi-cell mode (`--cells N`): the net:: layer over an N x N bay grid.
@@ -252,8 +254,7 @@ int run_multicell(const CliOptions& opt) {
   std::printf("aggregate goodput  : %.2f Mbps\n",
               result.aggregate_goodput_bps / 1e6);
   std::printf("Jain fairness      : %.3f\n", result.jain_fairness);
-  print_profile_report();
-  return 0;
+  return finish_observability();
 }
 
 }  // namespace
@@ -265,7 +266,11 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "--tags and --packets must be positive\n");
     return 1;
   }
-  if (opt.profile) core::ProfilePlane::enable();
+  if (opt.profile) obs::set(obs::kProfile, true);
+  if (!opt.probe.empty()) {
+    obs::set_path(obs::kProbe, opt.probe);
+    obs::set(obs::kProbe, true);
+  }
   if (opt.cells > 0) {
     try {
       return run_multicell(opt);
@@ -283,7 +288,6 @@ int main(int argc, char** argv) {
   config.tx_power_dbm = opt.power_dbm;
   config.payload_bytes = opt.payload;
   config.multipath.enabled = opt.multipath;
-  config.probe = opt.probe;  // "" keeps probing off (strict identity)
   config.rx_chunk_samples = opt.stream_chunk;  // 0 keeps whole-round feeds
 
   auto deployment = rfsim::Deployment::paper_frame();
@@ -342,11 +346,5 @@ int main(int argc, char** argv) {
   std::printf("aggregate raw rate : %.2f Mbps\n", rates.aggregate_raw_bps / 1e6);
   std::printf("aggregate goodput  : %.2f Mbps\n", rates.aggregate_goodput_bps / 1e6);
 
-  if (core::ProbeSession::enabled()) {
-    if (!core::ProbeSession::write_dump_if_requested()) return 1;
-    std::printf("probe dump         : %s (+ .json manifest)\n",
-                opt.probe.empty() ? "$CBMA_PROBE" : opt.probe.c_str());
-  }
-  print_profile_report();
-  return 0;
+  return finish_observability();
 }

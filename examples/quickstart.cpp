@@ -4,7 +4,7 @@
 #include <cstdio>
 #include <string>
 
-#include "core/probe_session.h"
+#include "core/obs.h"
 #include "core/system.h"
 
 using namespace cbma;
@@ -75,8 +75,9 @@ int main() {
   // 5. Peek inside the pipeline: enable the signal-probe layer, rerun one
   //    collided round, and dump the per-stage taps (excitation envelope,
   //    composite IQ, sync energy, correlation profiles, soft bits) plus the
-  //    per-tag link-quality rows. Inspect with tools/probe_inspect.py.
-  core::ProbeSession::enable("quickstart_probe.bin");
+  //    per-tag link-quality rows. Inspect with tools/cbma_obs.py.
+  obs::set_path(obs::kProbe, "quickstart_probe.bin");
+  obs::set(obs::kProbe, true);
   const auto probed = system.transmit(options, rng);
   std::printf("\nsignal probes (see quickstart_probe.bin.json):\n");
   for (std::size_t i = 0; i < probed.link_quality.size(); ++i) {
@@ -85,7 +86,7 @@ int main() {
     std::printf("  tag %zu: SNR=%.1f dB EVM=%.3f margin-ratio=%.1f\n", i,
                 lq.snr_db, lq.evm, lq.margin_ratio);
   }
-  if (!core::ProbeSession::write_dump_if_requested()) return 1;
-  core::ProbeSession::disable();
+  if (!obs::write_exports()) return 1;
+  obs::set(obs::kProbe, false);
   return 0;
 }

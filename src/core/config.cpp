@@ -169,7 +169,7 @@ std::string SystemConfig::summary() const {
   if (const auto imp = impairments.summary(); !imp.empty()) {
     os << " imp=[" << imp << "]";
   }
-  // Engine choice changes detection numerics (within the §9.3 tolerance),
+  // Engine choice changes detection numerics (within the §8.3 tolerance),
   // so a non-default engine must change the fingerprint; the default naive
   // engine keeps its summary bytes.
   if (detect.engine != rx::DetectEngine::kNaive) {

@@ -84,27 +84,10 @@ struct SystemConfig {
   /// Receiver ingestion chunk size in samples. 0 (default) feeds each
   /// round's window to the streaming core in one piece — the batch path.
   /// Any positive value drives the same core in chunks of this size; the
-  /// reports are byte-identical either way (DESIGN.md §10 chunk-invariance
+  /// reports are byte-identical either way (DESIGN.md §9 chunk-invariance
   /// contract), so this knob exists to exercise and measure the streaming
   /// path, not to change results.
   std::size_t rx_chunk_samples = 0;
-
-  // --- observability ---
-  /// Signal-probe dump path (DESIGN.md §8). Non-empty = enable the probe
-  /// subsystem and write the binary dump + manifest there on finish —
-  /// the programmatic equivalent of CBMA_PROBE=<path>. Empty (default)
-  /// leaves probing strictly off: zero allocations, zero RNG draws, every
-  /// bench table and BENCH_*.json byte-identical. Deliberately excluded
-  /// from summary() so a probe-enabled rerun of an experiment keeps the
-  /// same config fingerprint as the run it is explaining.
-  std::string probe;
-  /// Metrics-plane Prometheus exposition path (DESIGN.md §12). Non-empty =
-  /// enable the windowed time-series plane and rewrite the text exposition
-  /// there at every window boundary — the programmatic equivalent of
-  /// CBMA_METRICS=<path>. Empty (default) leaves the plane strictly off
-  /// under the same identity contract as `probe`, and is likewise excluded
-  /// from summary()/the config fingerprint.
-  std::string metrics;
 
   // --- derived quantities ---
   double chip_rate_hz() const;      ///< bitrate × code length

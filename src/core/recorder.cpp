@@ -2,14 +2,8 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <filesystem>
-#include <fstream>
-#include <system_error>
 
-#include "core/metrics_plane.h"
-#include "core/probe_session.h"
-#include "core/profile_plane.h"
-#include "core/telemetry.h"
+#include "core/obs.h"
 #include "util/expect.h"
 #include "util/json.h"
 
@@ -86,9 +80,9 @@ std::size_t RunRecorder::run_watchdog(const std::vector<WatchdogRule>& rules) {
     std::fprintf(stderr, "watchdog: %s\n", warning.detail.c_str());
     // Watchdog firings double as structured events on the metrics plane
     // (no-op when it is off).
-    MetricsPlane::record_event(metrics::Severity::kWarning, "watchdog",
-                               "metric=" + warning.metric, warning.value,
-                               warning.detail);
+    metrics::push_event(metrics::Severity::kWarning, "watchdog",
+                        "metric=" + warning.metric, warning.value,
+                        warning.detail);
   }
   return warnings_.size();
 }
@@ -180,34 +174,13 @@ std::string RunRecorder::json() const {
   for (const auto& n : notes_) w.value(n);
   w.end_array();
 
-  // Observability export: present only when telemetry is enabled, so the
-  // default document stays byte-identical (DESIGN.md §7). Span timings are
-  // wall-clock and therefore not deterministic; counters are. Neither
-  // enters the config fingerprint above.
-  if (Telemetry::enabled()) {
-    Telemetry::write_json_section(w);
-  }
-
-  // Same contract for the probe exports: the "link_quality" section rides
-  // along only when probing is enabled, and "watchdog" only when probing is
-  // enabled or a rule actually fired — a silent watchdog on a default run
-  // leaves the document byte-identical (DESIGN.md §8).
-  if (ProbeSession::enabled()) {
-    ProbeSession::write_json_section(w);
-  }
-  // The windowed time-series + event log ride along under the same
-  // contract: sections exist only while the metrics plane is enabled
-  // (DESIGN.md §12), so the default document stays byte-identical.
-  if (MetricsPlane::enabled()) {
-    MetricsPlane::write_json_section(w);
-  }
-  // The profiler's attribution tree + worker-utilization report: present
-  // only while CBMA_PROFILE is live (DESIGN.md §13). Timings are
-  // wall-clock; tree shape and counts are deterministic.
-  if (ProfilePlane::enabled()) {
-    ProfilePlane::write_json_section(w);
-  }
-  if (!warnings_.empty() || ProbeSession::enabled()) {
+  // Observability sections: each present only while its layer is live, so
+  // the default document stays byte-identical (DESIGN.md §7). Span timings
+  // are wall-clock; counters, tree shape and counts are deterministic.
+  // None of it enters the config fingerprint above.
+  obs::write_json_sections(w);
+  // "watchdog" rides along while probing, or whenever a rule fired.
+  if (!warnings_.empty() || probe::enabled()) {
     w.key("watchdog").begin_array();
     for (const auto& warning : warnings_) {
       w.begin_object();
@@ -229,45 +202,11 @@ std::string RunRecorder::json() const {
 int RunRecorder::finish() const {
   std::string path = "BENCH_" + spec_.name + ".json";
   if (const char* dir = std::getenv("CBMA_BENCH_DIR")) {
-    if (*dir != '\0') {
-      // Create the target directory rather than failing with an opaque
-      // stream error — a missing results dir is the common CI/first-run
-      // case, and a real permission problem deserves a named errno.
-      std::error_code ec;
-      std::filesystem::create_directories(dir, ec);
-      if (ec) {
-        std::fprintf(stderr,
-                     "error: cannot create CBMA_BENCH_DIR '%s': %s\n", dir,
-                     ec.message().c_str());
-        return 1;
-      }
-      path = std::string(dir) + "/" + path;
-    }
+    if (*dir != '\0') path = std::string(dir) + "/" + path;
   }
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) {
-    std::fprintf(stderr, "error: cannot open %s for writing\n", path.c_str());
-    return 1;
-  }
-  out << json() << '\n';
-  out.flush();
-  if (!out) {
-    std::fprintf(stderr, "error: failed writing %s\n", path.c_str());
-    return 1;
-  }
-  // CBMA_TRACE=<path> drops a Chrome/Perfetto timeline of the run next to
-  // the JSON (no-op unless telemetry is enabled).
-  if (!Telemetry::write_trace_if_requested()) return 1;
-  // CBMA_PROBE=<path> likewise drops the signal-probe dump + manifest
-  // (no-op unless probing is enabled).
-  if (!ProbeSession::write_dump_if_requested()) return 1;
-  // CBMA_METRICS=<path>: leave a final Prometheus snapshot covering the
-  // whole run (the plane also rewrites it live at window boundaries).
-  if (!MetricsPlane::write_prometheus_if_requested()) return 1;
-  // CBMA_PROFILE=<path>: the collapsed-stack flamegraph of the run
-  // (no-op unless the profiler is enabled).
-  if (!ProfilePlane::write_collapsed_if_requested()) return 1;
-  return 0;
+  if (!obs::write_file_atomic(path, json() + '\n')) return 1;
+  // CBMA_TRACE / CBMA_PROBE / CBMA_METRICS / CBMA_PROFILE files.
+  return obs::write_exports() ? 0 : 1;
 }
 
 }  // namespace cbma::core

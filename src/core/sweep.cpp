@@ -7,9 +7,7 @@
 #include <thread>
 
 #include "util/expect.h"
-#include "util/probe.h"
-#include "util/profiler.h"
-#include "util/telemetry.h"
+#include "util/obs.h"
 
 namespace cbma::core {
 

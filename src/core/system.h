@@ -68,7 +68,7 @@ struct TransmitScratch {
   std::vector<const rfsim::Interferer*> interferers;
   rfsim::ChannelScratch channel;
   std::vector<std::complex<double>> iq;
-  /// Persistent streaming Rx session (DESIGN.md §10) — the receiver-side
+  /// Persistent streaming Rx session (DESIGN.md §9) — the receiver-side
   /// scratch state. Lazily bound to the system's receiver
   /// on first transmit and rebound if the scratch moves between systems;
   /// its rings and window buffers stay warm across packets.

@@ -3,7 +3,7 @@
 #include <algorithm>
 
 #include "util/expect.h"
-#include "util/telemetry.h"
+#include "util/obs.h"
 
 namespace cbma::mac {
 

@@ -4,7 +4,7 @@
 #include <cmath>
 
 #include "util/expect.h"
-#include "util/telemetry.h"
+#include "util/obs.h"
 #include "util/units.h"
 
 namespace cbma::mac {

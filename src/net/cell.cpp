@@ -6,7 +6,7 @@
 
 #include "mac/throughput.h"
 #include "util/expect.h"
-#include "util/telemetry.h"
+#include "util/obs.h"
 #include "util/units.h"
 
 namespace cbma::net {

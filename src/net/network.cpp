@@ -4,12 +4,10 @@
 #include <cmath>
 #include <utility>
 
-#include "core/metrics_plane.h"
+#include "core/obs.h"
 #include "rx/receiver.h"
 #include "util/expect.h"
 #include "util/parallel.h"
-#include "util/profiler.h"
-#include "util/telemetry.h"
 #include "util/units.h"
 
 namespace cbma::net {
@@ -181,10 +179,10 @@ std::size_t Network::roam() {
       serving_[t] = best;
       ++moved;
       telemetry::count(telemetry::Counter::kNetTagRoams);
-      if (core::MetricsPlane::enabled()) {
-        core::MetricsPlane::record_event(
-            metrics::Severity::kInfo, "roam",
-            "cell=" + std::to_string(best), static_cast<double>(t),
+      if (metrics::enabled()) {
+        metrics::push_event(
+            metrics::Severity::kInfo, "roam", "cell=" + std::to_string(best),
+            static_cast<double>(t),
             "tag " + std::to_string(t) + " roamed cell " +
                 std::to_string(from) + " -> cell " + std::to_string(best) +
                 " (+" + std::to_string(best_dbm - serving_dbm) + " dB)");
@@ -290,14 +288,13 @@ NetworkRoundResult Network::run_round(std::uint64_t seed,
 
   // 6. Metrics-plane attribution (strict no-op when the plane is off) —
   //    sequential by construction: the parallel cell pass above joined.
-  if (core::MetricsPlane::enabled()) publish_round(result);
+  if (metrics::enabled()) publish_round(result);
   return result;
 }
 
 void Network::publish_round(const NetworkRoundResult& result) {
-  using core::MetricsPlane;
   for (const auto& cell : result.cells) {
-    MetricsPlane::CellSample sample;
+    obs::CellSample sample;
     sample.cell_id = cell.gateway_id;
     sample.goodput_bps = cell.goodput_bps;
     sample.frame_error_rate = cell.stats.frame_error_rate();
@@ -307,13 +304,13 @@ void Network::publish_round(const NetworkRoundResult& result) {
     sample.acked = cell.stats.total_acked();
     sample.outcomes = cell.stats.outcomes;
     sample.quality = cell.stats.quality;
-    MetricsPlane::record_cell(sample);
+    obs::record_cell(sample);
 
     const std::string scope = "cell=" + std::to_string(cell.gateway_id);
     if (cell.tags_total > cell.tags_served) {
       // More members than the cell's code-slice can serve: the capacity
       // shortfall the paper's reuse scheduler exists to avoid.
-      MetricsPlane::record_event(
+      metrics::push_event(
           metrics::Severity::kWarning, "code_slice_overflow", scope,
           static_cast<double>(cell.tags_total - cell.tags_served),
           std::to_string(cell.tags_total) + " members for " +
@@ -324,21 +321,17 @@ void Network::publish_round(const NetworkRoundResult& result) {
       if (outcome == rx::DecodeOutcome::kOk || cell.stats.outcomes[o] == 0) {
         continue;
       }
-      MetricsPlane::record_event(
+      metrics::push_event(
           metrics::Severity::kInfo, "decode_failure", scope,
           static_cast<double>(cell.stats.outcomes[o]), rx::to_string(outcome));
     }
   }
-  MetricsPlane::record_value("net.goodput_bps", {},
-                             result.aggregate_goodput_bps, "bps");
-  MetricsPlane::record_value("net.jain_fairness", {}, result.jain_fairness);
-  MetricsPlane::record_value("net.tags_served", {},
-                             static_cast<double>(result.tags_served));
-  MetricsPlane::record_value("net.tags_total", {},
-                             static_cast<double>(result.tags_total));
-  MetricsPlane::record_value("net.roamed", {},
-                             static_cast<double>(result.roamed));
-  MetricsPlane::tick();
+  metrics::push("net.goodput_bps", {}, result.aggregate_goodput_bps, "bps");
+  metrics::push("net.jain_fairness", {}, result.jain_fairness);
+  metrics::push("net.tags_served", {}, static_cast<double>(result.tags_served));
+  metrics::push("net.tags_total", {}, static_cast<double>(result.tags_total));
+  metrics::push("net.roamed", {}, static_cast<double>(result.roamed));
+  obs::tick();
 }
 
 }  // namespace cbma::net

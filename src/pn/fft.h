@@ -1,5 +1,5 @@
 // Iterative radix-2 FFT on split re/im arrays — the transform core of the
-// receiver's FFT correlation engine (rx/correlation_engine.h, DESIGN.md §9).
+// receiver's FFT correlation engine (rx/correlation_engine.h, DESIGN.md §8).
 //
 // Design constraints, in order:
 //  * split-array layout (separate re/im doubles) so the butterflies stream
@@ -17,7 +17,7 @@
 // This is deliberately a plain power-of-two radix-2 kernel, not a FFTW
 // clone: correlation sizes are chosen by the engine (which rounds up to a
 // power of two anyway), and the simple kernel keeps the dual-path
-// equivalence bound easy to reason about (§9's tolerance budget).
+// equivalence bound easy to reason about (§8's tolerance budget).
 #pragma once
 
 #include <cstddef>

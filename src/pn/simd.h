@@ -1,5 +1,5 @@
 // Runtime-dispatched SIMD kernels for the chip-rate split re/im hot loops
-// (DESIGN.md §9.4). One scalar and one AVX2 variant exist per kernel; the
+// (DESIGN.md §8.4). One scalar and one AVX2 variant exist per kernel; the
 // active one is chosen once per process from CPUID, the CBMA_FORCE_SCALAR
 // environment variable, and the CBMA_FORCE_SCALAR compile definition.
 //

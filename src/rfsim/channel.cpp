@@ -4,8 +4,7 @@
 #include <cmath>
 
 #include "util/expect.h"
-#include "util/probe.h"
-#include "util/telemetry.h"
+#include "util/obs.h"
 #include "util/units.h"
 
 namespace cbma::rfsim {

@@ -5,7 +5,7 @@
 #include <sstream>
 
 #include "util/expect.h"
-#include "util/telemetry.h"
+#include "util/obs.h"
 #include "util/units.h"
 
 namespace cbma::rfsim {

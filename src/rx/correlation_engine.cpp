@@ -5,7 +5,7 @@
 
 #include "pn/simd.h"
 #include "util/expect.h"
-#include "util/telemetry.h"
+#include "util/obs.h"
 
 namespace cbma::rx {
 
@@ -61,7 +61,7 @@ class NaiveEngine final : public CorrelationEngine {
   std::size_t spc_;
 };
 
-/// Overlap-save FFT engine (DESIGN.md §9.1). The folded sliding dot
+/// Overlap-save FFT engine (DESIGN.md §8.1). The folded sliding dot
 ///   dot(off) = Σ_c t[c] · fold[off + c·spc]
 /// touches only fold entries of one residue class off mod spc, so each
 /// class is an ordinary chip-rate correlation of the decimated fold
@@ -73,7 +73,7 @@ class NaiveEngine final : public CorrelationEngine {
 /// spectra plus one inverse FFT. Normalization reuses the naive kernel's
 /// exact running-sum recurrence (shared across codes), and each winning
 /// offset is re-scored with the exact folded dot, so an FFT-vs-naive
-/// discrepancy requires two lags within FP noise of each other (§9.3).
+/// discrepancy requires two lags within FP noise of each other (§8.3).
 class FftEngine final : public CorrelationEngine {
  public:
   struct FftScratch final : Scratch {
@@ -135,7 +135,7 @@ class FftEngine final : public CorrelationEngine {
     return std::make_unique<FftScratch>();
   }
 
-  /// Work estimate (real multiply-adds) of one peaks() call — the §9.2
+  /// Work estimate (real multiply-adds) of one peaks() call — the §8.2
   /// crossover cost model the auto engine compares against the naive
   /// kernel's 2 · lags · chips · codes.
   double estimated_flops(std::size_t n_codes, std::size_t n_lags) const {
@@ -248,7 +248,7 @@ class FftEngine final : public CorrelationEngine {
 
     // Re-score every winner with the exact folded dot: value and phase are
     // then bit-identical to the naive kernel at that offset, leaving the
-    // argmax choice as the only FFT-rounding-sensitive step (§9.3).
+    // argmax choice as the only FFT-rounding-sensitive step (§8.3).
     for (std::size_t k = 0; k < code_indices.size(); ++k) {
       auto& o = out[k];
       if (o.value < 0.0) {
@@ -330,7 +330,7 @@ class FftEngine final : public CorrelationEngine {
 };
 
 /// Auto engine: owns both concrete engines, picks per call by comparing the
-/// naive kernel's exact work against the FFT plan's estimate (§9.2). The
+/// naive kernel's exact work against the FFT plan's estimate (§8.2). The
 /// factor accounts for the FFT's worse per-flop locality relative to the
 /// naive kernel's pure streaming loop.
 class AutoEngine final : public CorrelationEngine {

@@ -1,4 +1,4 @@
-// Pluggable detection correlation engines (DESIGN.md §9).
+// Pluggable detection correlation engines (DESIGN.md §8).
 //
 // UserDetector's cost is the batched peak search: every candidate code of
 // the family slid over the anchor window of one frame. The naive kernel is
@@ -8,7 +8,7 @@
 // cost to O(N log N) — the crossover the paper's 64-code family (Fig. 9b)
 // sits well past. Both engines consume the identical chip-folded window
 // representation and produce the same normalized peaks: the naive engine
-// bit-exactly, the FFT engine up to the documented §9.3 tolerance (its
+// bit-exactly, the FFT engine up to the documented §8.3 tolerance (its
 // winning offsets are re-scored with the exact folded dot, so disagreement
 // requires two lags within FP noise of each other).
 //
@@ -31,11 +31,11 @@
 
 namespace cbma::rx {
 
-/// Which correlation engine a receiver's detector runs (DESIGN.md §9.2).
+/// Which correlation engine a receiver's detector runs (DESIGN.md §8.2).
 enum class DetectEngine {
   kNaive = 0,  ///< sliding folded dot per code — the bit-exact reference
   kFft,        ///< overlap-save FFT, shared forward transforms across codes
-  kAuto,       ///< per-call cost model picks naive or fft (§9.2 crossover)
+  kAuto,       ///< per-call cost model picks naive or fft (§8.2 crossover)
 };
 
 /// Stable label ("naive", "fft", "auto").

@@ -42,7 +42,7 @@ class FrameSynchronizer {
                                       std::size_t refractory) const;
 
   /// Incremental spelling of detect() for the streaming receiver
-  /// (DESIGN.md §10). push() extends the same power prefix sums detect()
+  /// (DESIGN.md §9). push() extends the same power prefix sums detect()
   /// builds — the identical sequence of additions, so the stored values are
   /// bit-for-bit the batch prefix array — and scan() advances the comparator
   /// over every position whose baseline and both head windows are complete,

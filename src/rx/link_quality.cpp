@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "util/stats.h"
+
 namespace cbma::rx {
 
 LinkQualityReport compute_link_quality(std::span<const double> soft,
@@ -15,18 +17,15 @@ LinkQualityReport compute_link_quality(std::span<const double> soft,
 
   // Moments of the soft-decision magnitudes. With BPSK-style bipolar soft
   // values the magnitude is the distance from the decision boundary, so its
-  // mean is the signal amplitude and its spread is the noise.
-  double sum = 0.0, sum2 = 0.0;
-  double min_abs = std::abs(soft[0]);
-  for (const double s : soft) {
-    const double a = std::abs(s);
-    sum += a;
-    sum2 += a * a;
-    min_abs = std::min(min_abs, a);
-  }
-  const auto n = static_cast<double>(soft.size());
-  const double mean = sum / n;
-  const double var = std::max(0.0, sum2 / n - mean * mean);
+  // mean is the signal amplitude and its spread is the noise. Welford's
+  // update keeps a small spread around a large mean exact, where
+  // sum2/n - mean² cancels to zero; the variance stays ÷n (population).
+  RunningStats moments;
+  for (const double s : soft) moments.add(std::abs(s));
+  const auto n = static_cast<double>(moments.count());
+  const double mean = moments.mean();
+  const double var = moments.variance() * (n - 1.0) / n;
+  const double min_abs = moments.min();
 
   if (mean > 0.0) {
     // var == 0 happens for constant soft values (single bit, or a noiseless

@@ -1,4 +1,4 @@
-// Per-tag link-quality estimation (signal-probe subsystem, DESIGN.md §8):
+// Per-tag link-quality estimation (signal-probe subsystem, DESIGN.md §7):
 // the receiver already computes everything the paper's evaluation reasons
 // about — correlation peaks, soft decision values, window power — and then
 // discards it. When probing is enabled, compute_link_quality condenses

@@ -62,7 +62,7 @@ const pn::PnCode& Receiver::code(std::size_t i) const {
 }
 
 RxReport Receiver::process_iq(std::span<const std::complex<double>> iq) const {
-  // One whole-buffer feed through the streaming core (DESIGN.md §10). The
+  // One whole-buffer feed through the streaming core (DESIGN.md §9). The
   // pipeline itself — envelope sync walk, detection, decoding, telemetry
   // and probe taps — lives in StreamingReceiver; chunk invariance makes
   // this wrapper behaviorally identical to any chunked replay.

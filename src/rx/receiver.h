@@ -28,7 +28,7 @@ struct ReceiverConfig {
   /// finalizes a detection window. The default (the frame-format limit)
   /// preserves exact batch semantics; a continuous-stream deployment that
   /// knows its payload sizes tightens it to shrink the per-trigger
-  /// lookahead — and with it latency and ring memory (DESIGN.md §10).
+  /// lookahead — and with it latency and ring memory (DESIGN.md §9).
   std::size_t max_payload_bytes = phy::kMaxPayloadBytes;
 };
 
@@ -78,7 +78,7 @@ struct RxReport {
   /// Per-code link-quality reports (same indexing as `results`), populated
   /// only while signal probing or the metrics plane is enabled — empty
   /// otherwise, so the observability-off hot path performs zero extra
-  /// allocations (DESIGN.md §8, §12).
+  /// allocations (DESIGN.md §7).
   std::vector<LinkQualityReport> link_quality;
 
   /// Result for one group code; throws std::invalid_argument naming the
@@ -107,7 +107,7 @@ class Receiver {
   /// Full pipeline on a complex-baseband window. Frame sync runs on the
   /// magnitude envelope P(t) = √(I²+Q²) (the paper's §V-B quantity);
   /// detection and decoding are coherent. This is the batch entry: it feeds
-  /// the whole window through a streaming session (DESIGN.md §10), so a
+  /// the whole window through a streaming session (DESIGN.md §9), so a
   /// chunked replay of the same window is byte-identical. Callers that
   /// process many windows should hold a rx::StreamingReceiver instead —
   /// the session keeps its rings and scratch warm across rounds.

@@ -5,9 +5,7 @@
 
 #include "phy/frame.h"
 #include "util/expect.h"
-#include "util/metrics.h"
-#include "util/probe.h"
-#include "util/telemetry.h"
+#include "util/obs.h"
 
 namespace cbma::rx {
 namespace {
@@ -289,7 +287,7 @@ void StreamingReceiver::run_attempt() {
 void StreamingReceiver::emit_segment(std::uint64_t rearm_pos) {
   if (telemetry::enabled()) count_outcomes(report_);
   // Record the *winning* candidate's link quality (rows therefore always
-  // match the report the caller sees, which probe_inspect.py cross-checks).
+  // match the report the caller sees, which cbma_obs.py check cross-checks).
   if (probe::enabled() && !report_.link_quality.empty()) {
     for (std::size_t i = 0; i < report_.results.size(); ++i) {
       const auto& r = report_.results[i];

@@ -1,4 +1,4 @@
-// Push-based chunked spelling of the CBMA receiver (DESIGN.md §10): feed()
+// Push-based chunked spelling of the CBMA receiver (DESIGN.md §9): feed()
 // accepts arbitrarily-sized IQ chunks, carries the frame synchronizer's
 // comparator state across chunk boundaries in ring buffers, and hands each
 // completed detection window to the batch UserDetector/Decoder stages — so

@@ -5,7 +5,7 @@
 #include "phy/frame.h"
 #include "pn/correlation.h"
 #include "util/expect.h"
-#include "util/probe.h"
+#include "util/obs.h"
 
 namespace cbma::rx {
 namespace {

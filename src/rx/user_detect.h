@@ -15,7 +15,7 @@
 // sidelobes at a nearby lag once several tags collide.
 //
 // The batched peak search itself runs on a pluggable CorrelationEngine
-// (DESIGN.md §9): naive sliding dots, an overlap-save FFT fast path sharing
+// (DESIGN.md §8): naive sliding dots, an overlap-save FFT fast path sharing
 // forward transforms across all codes, or a cost-model auto pick — selected
 // via UserDetectConfig::engine.
 #pragma once
@@ -55,9 +55,9 @@ struct UserDetectConfig {
   /// §4.4). Disable only for ablation studies: without it the sum of other
   /// users' sidelobes regularly beats a weak user's aligned peak.
   bool enable_sic = true;
-  /// Which correlation engine runs the batched peak search (DESIGN.md §9.2).
+  /// Which correlation engine runs the batched peak search (DESIGN.md §8.2).
   /// kNaive is the bit-exact reference and the default; kFft shares forward
-  /// transforms across all codes (equivalent up to the §9.3 tolerance);
+  /// transforms across all codes (equivalent up to the §8.3 tolerance);
   /// kAuto picks per call from the crossover cost model.
   DetectEngine engine = DetectEngine::kNaive;
 };

@@ -1,13 +1,14 @@
 // Deterministic sweep machinery shared by benches, examples and tests:
-// a work-stealing parallel_for over hardware threads plus the per-point
-// seed mixer that keeps Monte-Carlo results independent of how the sweep
-// is parallelized. Promoted from bench/common.h so every consumer of the
+// parallel_for, which spawns a fresh set of threads on every call that
+// claim indices one at a time from a single shared atomic counter (no
+// per-worker queues, no stealing), plus the per-point seed mixer that
+// keeps Monte-Carlo results independent of how the sweep is parallelized. Promoted from bench/common.h so every consumer of the
 // library can run paper-scale sweeps the same way.
 //
 // parallel_for is templated on the callable (no std::function wrapper, so
 // the hot sweep path pays no type-erasure allocation) and doubles as the
 // profiler's worker-utilization probe: pass a ParallelStats* and, when the
-// profiler is live (util/profiler, DESIGN.md §13), each worker's busy time
+// profiler is live (util/obs, DESIGN.md §7), each worker's busy time
 // and item count are measured and the caller's span path is replayed on
 // every worker so their subtrees nest under the launching span. With the
 // profiler off the stats stay uncollected and the loop is the same strict
@@ -22,7 +23,7 @@
 #include <thread>
 #include <vector>
 
-#include "util/profiler.h"
+#include "util/obs.h"
 #include "util/timer.h"
 
 namespace cbma::util {

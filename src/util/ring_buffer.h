@@ -1,5 +1,5 @@
 // Power-of-two ring buffer indexed by *absolute* stream position — the
-// storage discipline of the streaming receiver (DESIGN.md §10). The buffer
+// storage discipline of the streaming receiver (DESIGN.md §9). The buffer
 // holds a contiguous span [begin, end) of an unbounded stream: push()
 // appends at `end`, release() advances `begin`, and operator[] takes the
 // absolute position, so client code never translates stream positions into

@@ -1,16 +1,17 @@
-// core::MetricsPlane: the sampling-cadence + export half of the metrics
-// plane (DESIGN.md §12). Pins the two contracts the benches rely on:
+// The metrics layer's window cadence and exports (DESIGN.md §7). Pins the
+// two contracts the benches rely on:
 //
 // 1. Disabled is a strict identity — every entry point returns before
-//    touching storage, and the plane never arms telemetry while off.
+//    touching storage, and span/counter recording is on exactly while
+//    metrics (or telemetry itself) is on: computed, never sticky.
 // 2. The enabled path derives correct *windowed* series: telemetry counter
 //    totals become per-window deltas, span histograms become per-window
 //    percentiles (not cumulative ones), cell samples land under their
 //    "cell=<id>" scope, and the JSON/Prometheus exports are well-formed.
 //
 // Each TEST runs in its own process (gtest_discover_tests), so flipping the
-// metrics/telemetry flags here cannot leak into other tests.
-#include "core/metrics_plane.h"
+// switchboard here cannot leak into other tests.
+#include "core/obs.h"
 
 #include <gtest/gtest.h>
 
@@ -20,8 +21,6 @@
 #include "rx/link_quality.h"
 #include "rx/receiver.h"
 #include "util/json.h"
-#include "util/metrics.h"
-#include "util/telemetry.h"
 
 namespace cbma::core {
 namespace {
@@ -36,92 +35,82 @@ const metrics::SeriesSnapshot* find_series(const metrics::Snapshot& snap,
   return nullptr;
 }
 
-/// Bring the plane up for an in-memory test: no Prometheus file, one round
-/// per window, clean store and baselines.
+/// Bring the plane up for an in-memory test: no Prometheus file, clean
+/// store and baselines.
 void enable_in_memory() {
-  MetricsPlane::enable();
-  metrics::set_export_path("");
-  MetricsPlane::set_cadence(1);
-  MetricsPlane::reset();
-  telemetry::reset();
+  obs::set(obs::kMetrics, true);
+  obs::set_path(obs::kMetrics, "");
+  obs::reset();
 }
 
 void tear_down() {
-  MetricsPlane::disable();
-  telemetry::set_enabled(false);
-  metrics::set_export_path("");
-  MetricsPlane::reset();
+  obs::set(obs::kMetrics, false);
+  obs::set_path(obs::kMetrics, "");
+  obs::reset();
 }
 
 TEST(MetricsPlane, DisabledEntryPointsAreNoOps) {
-  MetricsPlane::disable();
-  EXPECT_FALSE(MetricsPlane::enabled());
-  MetricsPlane::CellSample sample;
+  obs::set(obs::kMetrics, false);
+  EXPECT_FALSE(metrics::enabled());
+  obs::CellSample sample;
   sample.cell_id = 1;
   sample.goodput_bps = 1e4;
-  MetricsPlane::record_cell(sample);
-  MetricsPlane::record_value("net.goodput_bps", {}, 1.0);
-  MetricsPlane::record_event(metrics::Severity::kInfo, "roam", {}, 0.0, {});
-  MetricsPlane::tick();
-  EXPECT_TRUE(MetricsPlane::write_prometheus_if_requested());
-  EXPECT_EQ(metrics::series_count(), 0u);
-  // An off plane must never have armed telemetry as a side effect.
+  obs::record_cell(sample);
+  metrics::push("net.goodput_bps", {}, 1.0);
+  metrics::push_event(metrics::Severity::kInfo, "roam", {}, 0.0, {});
+  obs::tick();
+  EXPECT_TRUE(obs::write_exports());
+  EXPECT_TRUE(metrics::snapshot().series.empty());
+  // An off plane must never have switched span recording on.
   EXPECT_FALSE(telemetry::enabled());
 }
 
 TEST(MetricsPlane, EnableArmsTelemetryAndSetsTheExpositionPath) {
   ASSERT_FALSE(telemetry::enabled());
   const auto path = ::testing::TempDir() + "cbma_plane_test.prom";
-  MetricsPlane::enable(path);
-  EXPECT_TRUE(MetricsPlane::enabled());
+  obs::set_path(obs::kMetrics, path);
+  obs::set(obs::kMetrics, true);
   EXPECT_TRUE(metrics::enabled());
-  // The counter/span series need a source: going live arms telemetry.
+  // The counter/span series need a source: metrics on records spans.
   EXPECT_TRUE(telemetry::enabled());
-  EXPECT_EQ(metrics::export_path(), path);
+  EXPECT_EQ(obs::path(obs::kMetrics), path);
   tear_down();
 }
 
-TEST(MetricsPlane, TickClosesAWindowEveryCadenceRounds) {
-  enable_in_memory();
-  MetricsPlane::set_cadence(3);
-  EXPECT_EQ(MetricsPlane::cadence(), 3u);
-  for (int r = 0; r < 7; ++r) {
-    MetricsPlane::record_value("net.goodput_bps", {},
-                               static_cast<double>(r), "bps");
-    MetricsPlane::tick();
-  }
-  const auto snap = metrics::snapshot();
-  MetricsPlane::set_cadence(1);
-  tear_down();
+TEST(MetricsPlane, MetricsOffStopsSpanRecordingAndASecondSessionRecords) {
+  // "Metrics on ⇒ spans and counters recorded" is computed when the
+  // switchboard is read: switching metrics off switches recording off...
+  obs::set(obs::kMetrics, true);
+  ASSERT_TRUE(telemetry::enabled());
+  obs::set(obs::kMetrics, false);
+  EXPECT_FALSE(telemetry::enabled());
 
-  // Rounds 3 and 6 closed windows; round 7 is still accumulating.
-  EXPECT_EQ(snap.windows, 2u);
-  const auto* s = find_series(snap, "net.goodput_bps", "");
-  ASSERT_NE(s, nullptr);
-  ASSERT_EQ(s->points.size(), 7u);
-  const std::uint64_t expected_windows[] = {0, 0, 0, 1, 1, 1, 2};
-  for (std::size_t k = 0; k < 7; ++k) {
-    EXPECT_EQ(s->points[k].window, expected_windows[k]) << "round " << k;
-  }
-}
-
-TEST(MetricsPlane, ZeroCadenceIsClampedToOne) {
+  // ...and a second session records again, even though telemetry itself
+  // was switched off in between.
+  obs::set(obs::kTelemetry, false);
   enable_in_memory();
-  MetricsPlane::set_cadence(0);
-  EXPECT_EQ(MetricsPlane::cadence(), 1u);
-  MetricsPlane::tick();
+  {
+    const telemetry::ScopedSpan span(telemetry::Span::kRxDecode);
+  }
+  telemetry::count(telemetry::Counter::kChannelSamples, 3);
+  obs::tick();
   const auto snap = metrics::snapshot();
   tear_down();
-  EXPECT_EQ(snap.windows, 1u);
+
+  EXPECT_FALSE(snap.series.empty());
+  const auto* samples = find_series(snap, "channel.samples", "");
+  ASSERT_NE(samples, nullptr);
+  EXPECT_DOUBLE_EQ(samples->points.back().value, 3.0);
+  EXPECT_NE(find_series(snap, "rx/decode.count", ""), nullptr);
 }
 
 TEST(MetricsPlane, CounterSeriesCarryPerWindowDeltas) {
   enable_in_memory();
-  telemetry::add_count(telemetry::Counter::kChannelSamples, 5);
-  MetricsPlane::tick();
-  telemetry::add_count(telemetry::Counter::kChannelSamples, 3);
-  MetricsPlane::tick();
-  MetricsPlane::tick();  // quiet window: the counter still charts, as 0
+  telemetry::count(telemetry::Counter::kChannelSamples, 5);
+  obs::tick();
+  telemetry::count(telemetry::Counter::kChannelSamples, 3);
+  obs::tick();
+  obs::tick();  // quiet window: the counter still charts, as 0
   const auto snap = metrics::snapshot();
   tear_down();
 
@@ -143,11 +132,11 @@ TEST(MetricsPlane, SpanSeriesCarryPerWindowPercentiles) {
   for (int k = 0; k < 100; ++k) {
     telemetry::record_span(telemetry::Span::kRxDecode, k, 100);
   }
-  MetricsPlane::tick();
+  obs::tick();
   for (int k = 0; k < 100; ++k) {
     telemetry::record_span(telemetry::Span::kRxDecode, k, 1000);
   }
-  MetricsPlane::tick();
+  obs::tick();
   const auto snap = metrics::snapshot();
   tear_down();
 
@@ -175,7 +164,7 @@ TEST(MetricsPlane, SpanSeriesCarryPerWindowPercentiles) {
 
 TEST(MetricsPlane, RecordCellAttributesSeriesToTheCellScope) {
   enable_in_memory();
-  MetricsPlane::CellSample s;
+  obs::CellSample s;
   s.cell_id = 3;
   s.goodput_bps = 1.0e4;
   s.frame_error_rate = 0.25;
@@ -196,13 +185,13 @@ TEST(MetricsPlane, RecordCellAttributesSeriesToTheCellScope) {
   s.quality.add(q);
   q.snr_db = 14.0;
   s.quality.add(q);
-  MetricsPlane::record_cell(s);
+  obs::record_cell(s);
 
   // A cell with no decodes and no quality reports: the outcome and link
   // series must simply not appear for its scope.
-  MetricsPlane::CellSample quiet;
+  obs::CellSample quiet;
   quiet.cell_id = 4;
-  MetricsPlane::record_cell(quiet);
+  obs::record_cell(quiet);
   const auto snap = metrics::snapshot();
   tear_down();
 
@@ -234,15 +223,15 @@ TEST(MetricsPlane, RecordCellAttributesSeriesToTheCellScope) {
 
 TEST(MetricsPlane, JsonSectionParsesAndMatchesTheSchema) {
   enable_in_memory();
-  MetricsPlane::record_value("net.goodput_bps", {}, 100.0, "bps");
-  MetricsPlane::record_value("net.cell.fer", "cell=1", 0.5);
-  MetricsPlane::record_event(metrics::Severity::kWarning,
+  metrics::push("net.goodput_bps", {}, 100.0, "bps");
+  metrics::push("net.cell.fer", "cell=1", 0.5);
+  metrics::push_event(metrics::Severity::kWarning,
                              "code_slice_overflow", "cell=1", 1.0,
                              "3 members for 2 served slots");
-  MetricsPlane::tick();
+  obs::tick();
   util::JsonWriter w;
   w.begin_object();
-  MetricsPlane::write_json_section(w);
+  obs::write_json_sections(w);
   w.end_object();
   tear_down();
 
@@ -282,15 +271,15 @@ TEST(MetricsPlane, JsonSectionParsesAndMatchesTheSchema) {
 
 TEST(MetricsPlane, PrometheusExportHonoursTheConfiguredPath) {
   enable_in_memory();
-  MetricsPlane::record_value("net.goodput_bps", {}, 7.0, "bps");
+  metrics::push("net.goodput_bps", {}, 7.0, "bps");
   // No path configured: a successful no-op, no file appears.
-  EXPECT_TRUE(MetricsPlane::write_prometheus_if_requested());
+  EXPECT_TRUE(obs::write_exports());
 
   const auto path = ::testing::TempDir() + "cbma_plane_export.prom";
   std::remove(path.c_str());
-  metrics::set_export_path(path);
+  obs::set_path(obs::kMetrics, path);
   // tick() itself rewrites the snapshot at every window boundary.
-  MetricsPlane::tick();
+  obs::tick();
   tear_down();
 
   std::ifstream in(path);
@@ -304,17 +293,18 @@ TEST(MetricsPlane, PrometheusExportHonoursTheConfiguredPath) {
 
 TEST(MetricsPlane, ResetClearsSeriesEventsAndTelemetryBaselines) {
   enable_in_memory();
-  telemetry::add_count(telemetry::Counter::kChannelSamples, 5);
-  MetricsPlane::tick();
-  MetricsPlane::record_event(metrics::Severity::kInfo, "roam", {}, 0.0, {});
-  ASSERT_GT(metrics::series_count(), 0u);
+  telemetry::count(telemetry::Counter::kChannelSamples, 5);
+  obs::tick();
+  metrics::push_event(metrics::Severity::kInfo, "roam", {}, 0.0, {});
+  ASSERT_FALSE(metrics::snapshot().series.empty());
 
-  MetricsPlane::reset();
-  EXPECT_EQ(metrics::series_count(), 0u);
+  obs::reset();
+  EXPECT_TRUE(metrics::snapshot().series.empty());
   EXPECT_TRUE(metrics::snapshot().events.empty());
-  // Baselines were re-zeroed too: the next window reports the full total
-  // again, not the delta since the pre-reset sample.
-  MetricsPlane::tick();
+  // Baselines were re-zeroed with the counters: a fresh total of 5 charts
+  // as 5, not as the 0 a stale pre-reset baseline would leave.
+  telemetry::count(telemetry::Counter::kChannelSamples, 5);
+  obs::tick();
   const auto snap = metrics::snapshot();
   tear_down();
   const auto* s = find_series(snap, "channel.samples", "");

@@ -1,4 +1,4 @@
-// core::ProbeSession + sweep watchdog coverage: the strict-identity
+// Probe exports + sweep watchdog coverage: the strict-identity
 // contract (enabling the probe must not change any decode result or RNG
 // draw), the CBPROBE1 dump + manifest round trip (parsed back with
 // util::json_parse and cross-checked against the binary), the
@@ -7,7 +7,7 @@
 //
 // Each TEST runs in its own process (gtest_discover_tests), so enabling
 // probing here cannot leak into other tests.
-#include "core/probe_session.h"
+#include "core/obs.h"
 
 #include <gtest/gtest.h>
 
@@ -23,6 +23,11 @@
 
 namespace cbma::core {
 namespace {
+
+void enable_probe(const std::string& dump_path) {
+  obs::set_path(obs::kProbe, dump_path);
+  obs::set(obs::kProbe, true);
+}
 
 SystemConfig three_tag_config() {
   SystemConfig config;
@@ -68,52 +73,32 @@ RunDigest run_once() {
 }
 
 TEST(CoreProbe, EnablingProbeChangesNoResultAndDrawsNoRng) {
-  ProbeSession::disable();
-  ProbeSession::reset();
+  obs::set(obs::kProbe, false);
+  obs::reset();
   const auto off = run_once();
-  EXPECT_EQ(probe::tap_count(), 0u);  // the off path stored nothing
+  EXPECT_EQ(probe::snapshot().taps.size(), 0u);  // the off path stored nothing
 
-  ProbeSession::enable("core_probe_identity.bin");
+  enable_probe("core_probe_identity.bin");
   const auto on = run_once();
-  const auto captured = probe::tap_count();
-  ProbeSession::disable();
-  ProbeSession::reset();
+  const auto captured = probe::snapshot().taps.size();
+  obs::set(obs::kProbe, false);
+  obs::reset();
 
   EXPECT_GT(captured, 0u);  // the probed run really recorded
   EXPECT_TRUE(off == on);   // ...without perturbing a single result or draw
 }
 
-TEST(CoreProbe, ConfigProbeFieldEnablesCaptureAndKeepsSummaryStable) {
-  ProbeSession::disable();
-  ProbeSession::reset();
-  auto config = three_tag_config();
-  const auto plain_summary = config.summary();
-  config.probe = "core_probe_cfg.bin";
-  // The probe path is observability plumbing, not physics: it must not
-  // move the config summary/fingerprint benches stamp into their JSON.
-  EXPECT_EQ(config.summary(), plain_summary);
-
-  CbmaSystem system(config, three_tag_deployment());
-  EXPECT_TRUE(ProbeSession::enabled());
-  EXPECT_EQ(probe::dump_path(), "core_probe_cfg.bin");
-  Rng rng(5);
-  (void)system.transmit(TransmitOptions{}, rng);
-  EXPECT_GT(probe::tap_count(), 0u);
-  ProbeSession::disable();
-  ProbeSession::reset();
-}
-
 TEST(CoreProbe, DumpAndManifestRoundTrip) {
-  ProbeSession::enable("core_probe_roundtrip.bin");
-  ProbeSession::reset();
+  enable_probe("core_probe_roundtrip.bin");
+  obs::reset();
   CbmaSystem system(three_tag_config(), three_tag_deployment());
   Rng rng(7);
   const auto report = system.transmit(TransmitOptions{}, rng);
   ASSERT_FALSE(report.link_quality.empty());
   const auto capture = probe::snapshot();
-  ASSERT_TRUE(ProbeSession::write_dump("core_probe_roundtrip.bin"));
-  ProbeSession::disable();
-  ProbeSession::reset();
+  ASSERT_TRUE(obs::write_exports());
+  obs::set(obs::kProbe, false);
+  obs::reset();
 
   // Binary: magic + at least one record.
   std::ifstream dump("core_probe_roundtrip.bin", std::ios::binary);
@@ -133,7 +118,7 @@ TEST(CoreProbe, DumpAndManifestRoundTrip) {
   const auto manifest = util::json_parse(text);
   ASSERT_TRUE(manifest.is_object());
   EXPECT_EQ(manifest.at("magic").string, "CBPROBE1");
-  EXPECT_EQ(manifest.at("schema_version").number, kProbeDumpSchemaVersion);
+  EXPECT_EQ(manifest.at("schema_version").number, obs::kProbeDumpSchemaVersion);
   EXPECT_EQ(manifest.at("dump_bytes").number,
             static_cast<double>(dump_bytes));
   const auto& taps = manifest.at("taps");
@@ -163,8 +148,8 @@ TEST(CoreProbe, DumpAndManifestRoundTrip) {
 }
 
 TEST(CoreProbe, LinkQualityJsonSectionAggregatesPerTag) {
-  ProbeSession::enable("core_probe_section.bin");
-  ProbeSession::reset();
+  enable_probe("core_probe_section.bin");
+  obs::reset();
   probe::LinkQualitySample sample;
   sample.tag = 1;
   sample.detected = true;
@@ -180,10 +165,10 @@ TEST(CoreProbe, LinkQualityJsonSectionAggregatesPerTag) {
 
   util::JsonWriter w;
   w.begin_object();
-  ProbeSession::write_json_section(w);
+  obs::write_json_sections(w);
   w.end_object();
-  ProbeSession::disable();
-  ProbeSession::reset();
+  obs::set(obs::kProbe, false);
+  obs::reset();
 
   const auto doc = util::json_parse(w.str());
   const auto& lq = doc.at("link_quality");

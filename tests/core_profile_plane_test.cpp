@@ -1,4 +1,4 @@
-// core::ProfilePlane: the export half of the profiler (DESIGN.md §13).
+// The profiler's exports (DESIGN.md §7).
 // Pins the contracts the tooling relies on: disabled is a strict identity
 // (no "profile" section, no collapsed file, no sinks), the JSON section
 // parses and satisfies the per-node identity incl == excl + child_ns, the
@@ -7,7 +7,7 @@
 //
 // Each TEST runs in its own process (gtest_discover_tests), so flipping
 // the profiler flag here cannot leak into other tests.
-#include "core/profile_plane.h"
+#include "core/obs.h"
 
 #include <gtest/gtest.h>
 
@@ -23,8 +23,6 @@
 #include "core/recorder.h"
 #include "util/json.h"
 #include "util/parallel.h"
-#include "util/profiler.h"
-#include "util/telemetry.h"
 
 namespace cbma::core {
 namespace {
@@ -52,22 +50,27 @@ void record_fixture() {
   }
 }
 
+void enable_profiler() {
+  obs::set(obs::kProfile, true);
+  obs::reset();
+}
+
 void tear_down() {
-  ProfilePlane::reset();
-  ProfilePlane::disable();
-  profiler::set_export_path("");
+  obs::reset();
+  obs::set(obs::kProfile, false);
+  obs::set_path(obs::kProfile, "");
 }
 
 TEST(ProfilePlane, DisabledIsAStrictIdentity) {
-  ASSERT_FALSE(ProfilePlane::enabled()) << "profiler must default to off";
+  ASSERT_FALSE(profiler::enabled()) << "profiler must default to off";
   // Spans with the profiler off must leave no trace anywhere.
   {
     const ScopedSpan s(Span::kRxProcess);
   }
   EXPECT_TRUE(profiler::merged_tree().roots.empty());
-  EXPECT_TRUE(ProfilePlane::top_exclusive(10).empty());
-  EXPECT_TRUE(ProfilePlane::collapsed().empty());
-  EXPECT_TRUE(ProfilePlane::write_collapsed_if_requested());
+  EXPECT_TRUE(obs::top_exclusive(10).empty());
+  EXPECT_TRUE(obs::collapsed().empty());
+  EXPECT_TRUE(obs::write_exports());
 
   // And the BENCH document carries no "profile" section.
   SweepSpec spec;
@@ -81,13 +84,12 @@ TEST(ProfilePlane, DisabledIsAStrictIdentity) {
 }
 
 TEST(ProfilePlane, JsonSectionParsesAndBalances) {
-  ProfilePlane::enable();
-  ProfilePlane::reset();
+  enable_profiler();
   record_fixture();
 
   util::JsonWriter w;
   w.begin_object();
-  ProfilePlane::write_json_section(w);
+  obs::write_json_sections(w);
   w.end_object();
   tear_down();
 
@@ -135,11 +137,10 @@ TEST(ProfilePlane, JsonSectionParsesAndBalances) {
 }
 
 TEST(ProfilePlane, TopExclusiveIsSortedAndBounded) {
-  ProfilePlane::enable();
-  ProfilePlane::reset();
+  enable_profiler();
   record_fixture();
-  const auto top2 = ProfilePlane::top_exclusive(2);
-  const auto all = ProfilePlane::top_exclusive(100);
+  const auto top2 = obs::top_exclusive(2);
+  const auto all = obs::top_exclusive(100);
   tear_down();
 
   EXPECT_EQ(top2.size(), 2u);
@@ -162,10 +163,9 @@ TEST(ProfilePlane, TopExclusiveIsSortedAndBounded) {
 }
 
 TEST(ProfilePlane, CollapsedStackSumsToTreeExclusiveTime) {
-  ProfilePlane::enable();
-  ProfilePlane::reset();
+  enable_profiler();
   record_fixture();
-  const std::string text = ProfilePlane::collapsed();
+  const std::string text = obs::collapsed();
   std::uint64_t tree_excl = 0;
   std::function<void(const profiler::MergedNode&)> sum =
       [&](const profiler::MergedNode& n) {
@@ -196,17 +196,16 @@ TEST(ProfilePlane, CollapsedStackSumsToTreeExclusiveTime) {
 }
 
 TEST(ProfilePlane, WriteCollapsedHonoursTheConfiguredPath) {
-  ProfilePlane::enable();
-  ProfilePlane::reset();
+  enable_profiler();
   record_fixture();
   // No path configured: a successful no-op, no file appears.
-  EXPECT_TRUE(ProfilePlane::write_collapsed_if_requested());
+  EXPECT_TRUE(obs::write_exports());
 
   const auto path = ::testing::TempDir() + "cbma_profile_test.collapsed";
   std::remove(path.c_str());
-  profiler::set_export_path(path);
-  EXPECT_TRUE(ProfilePlane::write_collapsed_if_requested());
-  const std::string expected = ProfilePlane::collapsed();
+  obs::set_path(obs::kProfile, path);
+  EXPECT_TRUE(obs::write_exports());
+  const std::string expected = obs::collapsed();
   tear_down();
 
   std::ifstream in(path);
@@ -219,12 +218,13 @@ TEST(ProfilePlane, WriteCollapsedHonoursTheConfiguredPath) {
 }
 
 TEST(ProfilePlane, EnableWithPathSetsTheExportTarget) {
-  ASSERT_FALSE(ProfilePlane::enabled());
-  ProfilePlane::enable("/tmp/cbma_flame.txt");
-  EXPECT_TRUE(ProfilePlane::enabled());
-  EXPECT_EQ(profiler::export_path(), "/tmp/cbma_flame.txt");
+  ASSERT_FALSE(profiler::enabled());
+  obs::set_path(obs::kProfile, "/tmp/cbma_flame.txt");
+  obs::set(obs::kProfile, true);
+  EXPECT_TRUE(profiler::enabled());
+  EXPECT_EQ(obs::path(obs::kProfile), "/tmp/cbma_flame.txt");
   tear_down();
-  EXPECT_FALSE(ProfilePlane::enabled());
+  EXPECT_FALSE(profiler::enabled());
 }
 
 }  // namespace

@@ -1,4 +1,4 @@
-// core::Telemetry / telemetry: the observability layer's two contracts.
+// The telemetry layer of the observability plane: its two contracts.
 //
 // 1. Disabled telemetry is a strict identity (DESIGN.md §7): an instrumented
 //    pipeline run with telemetry compiled in but off performs zero
@@ -12,7 +12,7 @@
 // gtest_discover_tests runs each TEST in its own process, so the
 // process-global telemetry registry starts empty per test — the
 // sink_count() == 0 assertions below rely on that.
-#include "core/telemetry.h"
+#include "core/obs.h"
 
 #include <gtest/gtest.h>
 
@@ -28,7 +28,6 @@
 #include "core/system.h"
 #include "rx/receiver.h"
 #include "util/json.h"
-#include "util/trace_export.h"
 
 namespace cbma::core {
 namespace {
@@ -86,22 +85,22 @@ RoundDigest run_rounds(const CbmaSystem& sys, std::uint64_t seed,
 // --- contract 1: disabled telemetry is a strict identity -------------------
 
 TEST(Telemetry, DisabledRunAllocatesNoSinks) {
-  Telemetry::enable(false);
+  obs::set(obs::kTelemetry, false);
   const auto sys = make_system(/*with_impairments=*/true);
   (void)run_rounds(sys, 77, 4);
   // No ScopedSpan, count() or record_frame() call may have touched the
   // registry: the off path must never allocate a thread sink.
-  EXPECT_EQ(telemetry::sink_count(), 0u);
-  EXPECT_FALSE(Telemetry::enabled());
+  EXPECT_EQ(obs::sink_count(), 0u);
+  EXPECT_FALSE(telemetry::enabled());
 }
 
 TEST(Telemetry, EnablingDrawsNoRandomnessAndChangesNoResults) {
   const auto sys = make_system(/*with_impairments=*/true);
-  Telemetry::enable(false);
+  obs::set(obs::kTelemetry, false);
   const auto off = run_rounds(sys, 20190707, 6);
-  Telemetry::enable(true);
+  obs::set(obs::kTelemetry, true);
   const auto on = run_rounds(sys, 20190707, 6);
-  Telemetry::enable(false);
+  obs::set(obs::kTelemetry, false);
   // Identical outcome sequence, identical correlations, and the RNG engine
   // is in the identical state afterwards — telemetry drew nothing.
   EXPECT_TRUE(off == on);
@@ -115,7 +114,7 @@ TEST(Telemetry, RecorderJsonByteIdenticalWhenDisabled) {
   spec.trials = 4;
   spec.base_seed = 99;
 
-  Telemetry::enable(false);
+  obs::set(obs::kTelemetry, false);
   RunRecorder recorder(spec, SystemConfig{});
   recorder.record(0, "fer", 0.125);
   recorder.note("identity");
@@ -123,16 +122,16 @@ TEST(Telemetry, RecorderJsonByteIdenticalWhenDisabled) {
 
   // Pollute the telemetry state with a real instrumented run, then disable
   // again: the document must not have moved by a byte.
-  Telemetry::enable(true);
+  obs::set(obs::kTelemetry, true);
   (void)run_rounds(make_system(), 1, 2);
-  Telemetry::enable(false);
+  obs::set(obs::kTelemetry, false);
   EXPECT_EQ(recorder.json(), before);
 
   // And the enabled document is the same document plus a telemetry section.
-  Telemetry::enable(true);
+  obs::set(obs::kTelemetry, true);
   const auto enabled_doc = util::json_parse(recorder.json());
-  Telemetry::enable(false);
-  telemetry::reset();
+  obs::set(obs::kTelemetry, false);
+  obs::reset();
   EXPECT_TRUE(enabled_doc.is_object());
   EXPECT_NO_THROW((void)enabled_doc.at("telemetry"));
 }
@@ -141,12 +140,12 @@ TEST(Telemetry, RecorderJsonByteIdenticalWhenDisabled) {
 
 TEST(Telemetry, SnapshotHasOrderedSpansAndNamedCounters) {
   constexpr std::size_t kRounds = 10;
-  Telemetry::enable(true);
-  telemetry::reset();
+  obs::set(obs::kTelemetry, true);
+  obs::reset();
   const auto sys = make_system(/*with_impairments=*/true);
   (void)run_rounds(sys, 4242, kRounds);
-  const auto snap = Telemetry::snapshot();
-  Telemetry::enable(false);
+  const auto snap = telemetry::snapshot();
+  obs::set(obs::kTelemetry, false);
 
   ASSERT_GE(snap.threads, 1u);
   ASSERT_FALSE(snap.spans.empty());
@@ -192,7 +191,7 @@ TEST(Telemetry, SnapshotHasOrderedSpansAndNamedCounters) {
 
   // Flight recorder: bounded, ordered, and carrying the causal fields.
   ASSERT_FALSE(snap.frames.empty());
-  EXPECT_LE(snap.frames.size(), telemetry::flight_recorder_capacity());
+  EXPECT_LE(snap.frames.size(), telemetry::kFlightRecorderCapacity);
   for (std::size_t i = 0; i < snap.frames.size(); ++i) {
     const auto& f = snap.frames[i];
     if (i > 0) {
@@ -207,43 +206,42 @@ TEST(Telemetry, SnapshotHasOrderedSpansAndNamedCounters) {
                                       telemetry::kGateDrift |
                                       telemetry::kGateAdc);
   }
-  telemetry::reset();
+  obs::reset();
 }
 
 TEST(Telemetry, FlightRecorderKeepsOnlyTheLastFrames) {
-  // Capacity applies to sinks created afterwards — set it before the first
-  // instrumented call in this fresh process.
-  telemetry::set_flight_recorder_capacity(8);
-  Telemetry::enable(true);
-  telemetry::reset();
+  constexpr std::size_t kRounds = 90;  // 90 rounds × 3 tags = 270 frames
+  static_assert(kRounds * kTags > telemetry::kFlightRecorderCapacity);
+  obs::set(obs::kTelemetry, true);
+  obs::reset();
   const auto sys = make_system();
-  (void)run_rounds(sys, 7, 12);  // 12 rounds × 3 tags = 36 frames offered
-  const auto snap = Telemetry::snapshot();
-  Telemetry::enable(false);
+  (void)run_rounds(sys, 7, kRounds);
+  const auto snap = telemetry::snapshot();
+  obs::set(obs::kTelemetry, false);
 
-  ASSERT_EQ(snap.frames.size(), 8u);
+  ASSERT_EQ(snap.frames.size(), telemetry::kFlightRecorderCapacity);
   // The ring keeps the *latest* frames: seq numbers are the top of the
   // global sequence, contiguous on this single recording thread.
   for (std::size_t i = 1; i < snap.frames.size(); ++i) {
     EXPECT_EQ(snap.frames[i].seq, snap.frames[i - 1].seq + 1);
   }
-  EXPECT_EQ(snap.frames.back().seq, 36u - 1u);
-  telemetry::reset();
+  EXPECT_EQ(snap.frames.back().seq, kRounds * kTags - 1u);
+  obs::reset();
 }
 
 TEST(Telemetry, ChromeTraceExportParsesAndCoversSpansAndFrames) {
-  Telemetry::enable(true);
-  telemetry::set_trace_enabled(true);
-  telemetry::reset();
+  obs::set(obs::kTelemetry, true);
+  obs::set(obs::kTrace, true);
+  obs::reset();
   const auto sys = make_system();
   (void)run_rounds(sys, 3, 3);
-  const auto snap = Telemetry::snapshot();
-  telemetry::set_trace_enabled(false);
-  Telemetry::enable(false);
+  const auto snap = telemetry::snapshot();
+  obs::set(obs::kTrace, false);
+  obs::set(obs::kTelemetry, false);
 
   ASSERT_FALSE(snap.events.empty());
   const auto doc = util::json_parse(
-      util::chrome_trace_json(snap.events, snap.frames));
+      obs::chrome_trace_json(snap.events, snap.frames));
   ASSERT_TRUE(doc.is_object());
   const auto& events = doc.at("traceEvents");
   ASSERT_TRUE(events.is_array());
@@ -267,15 +265,17 @@ TEST(Telemetry, ChromeTraceExportParsesAndCoversSpansAndFrames) {
   EXPECT_TRUE(saw_instant);
   EXPECT_TRUE(saw_t0) << "timestamps should be rebased to t = 0";
 
-  // The file writer produces the same parseable document.
+  // The file export produces the same parseable document.
   const auto path = ::testing::TempDir() + "cbma_trace_test.json";
-  ASSERT_TRUE(util::write_chrome_trace(path, snap.events, snap.frames));
+  obs::set_path(obs::kTrace, path);
+  ASSERT_TRUE(obs::write_exports());
+  obs::set_path(obs::kTrace, "");
   std::ifstream in(path);
   ASSERT_TRUE(in.good());
   std::stringstream buffer;
   buffer << in.rdbuf();
   EXPECT_NO_THROW((void)util::json_parse(buffer.str()));
-  telemetry::reset();
+  obs::reset();
 }
 
 TEST(Telemetry, TraceFileIsWrittenEvenWhenTelemetryIsDisabled) {
@@ -284,10 +284,10 @@ TEST(Telemetry, TraceFileIsWrittenEvenWhenTelemetryIsDisabled) {
   // writing anything; the export must instead be a valid, empty document.
   const auto path = ::testing::TempDir() + "cbma_trace_disabled.json";
   std::remove(path.c_str());
-  ::setenv("CBMA_TRACE", path.c_str(), 1);
-  Telemetry::enable(false);
-  ASSERT_TRUE(Telemetry::write_trace_if_requested());
-  ::unsetenv("CBMA_TRACE");
+  obs::set_path(obs::kTrace, path);
+  obs::set(obs::kTelemetry, false);
+  ASSERT_TRUE(obs::write_exports());
+  obs::set_path(obs::kTrace, "");
 
   std::ifstream in(path);
   ASSERT_TRUE(in.good()) << "no trace file at " << path;
@@ -302,8 +302,8 @@ TEST(Telemetry, TraceFileIsWrittenEvenWhenTelemetryIsDisabled) {
 }
 
 TEST(Telemetry, BenchJsonTelemetrySectionMatchesSchema) {
-  Telemetry::enable(true);
-  telemetry::reset();
+  obs::set(obs::kTelemetry, true);
+  obs::reset();
   (void)run_rounds(make_system(), 11, 4);
 
   SweepSpec spec;
@@ -315,7 +315,7 @@ TEST(Telemetry, BenchJsonTelemetrySectionMatchesSchema) {
   RunRecorder recorder(spec, SystemConfig{});
   recorder.record(0, "fer", 0.5);
   const auto doc = util::json_parse(recorder.json());
-  Telemetry::enable(false);
+  obs::set(obs::kTelemetry, false);
 
   const auto& tel = doc.at("telemetry");
   ASSERT_TRUE(tel.is_object());
@@ -337,7 +337,7 @@ TEST(Telemetry, BenchJsonTelemetrySectionMatchesSchema) {
   // Outcomes are exported as the human-readable rx labels, not integers.
   const auto& outcome = fr.array[0].at("outcome").string;
   EXPECT_FALSE(outcome.empty());
-  telemetry::reset();
+  obs::reset();
 }
 
 }  // namespace

@@ -5,10 +5,8 @@
 #include <string>
 #include <vector>
 
-#include "core/metrics_plane.h"
-#include "util/metrics.h"
+#include "core/obs.h"
 #include "util/rng.h"
-#include "util/telemetry.h"
 
 namespace cbma::net {
 namespace {
@@ -151,7 +149,7 @@ TEST(Network, MobilityWalkIsSeededAndClampedToTheFloor) {
   }
 }
 
-// --- metrics-plane attribution (DESIGN.md §12) -----------------------------
+// --- metrics-plane attribution (DESIGN.md §7) -----------------------------
 // These flip the process-global metrics flag; gtest_discover_tests runs
 // each TEST in its own process, so the flip cannot leak.
 
@@ -162,17 +160,15 @@ TEST(Network, MetricsPlaneChangesNoResultsAndAttributesEveryCell) {
   off_net.place_random_tags(8, ro);
   on_net.place_random_tags(8, rn);
 
-  core::MetricsPlane::disable();
+  obs::set(obs::kMetrics, false);
   const auto off = off_net.run_round(31);
 
-  core::MetricsPlane::enable();
-  metrics::set_export_path("");
-  core::MetricsPlane::set_cadence(1);
-  core::MetricsPlane::reset();
+  obs::set(obs::kMetrics, true);
+  obs::set_path(obs::kMetrics, "");
+  obs::reset();
   const auto on = on_net.run_round(31);
   const auto snap = metrics::snapshot();
-  core::MetricsPlane::disable();
-  telemetry::set_enabled(false);
+  obs::set(obs::kMetrics, false);
 
   // Observing the round must not move it: bit-identical aggregates.
   EXPECT_EQ(off.aggregate_goodput_bps, on.aggregate_goodput_bps);
@@ -215,13 +211,12 @@ TEST(Network, MetricsPlaneEmitsCodeSliceOverflowEvents) {
   network.add_tag({-3.0, 0.5});
   network.add_tag({-2.5, -0.5});
   network.add_tag({-3.5, 0.0});
-  core::MetricsPlane::enable();
-  metrics::set_export_path("");
-  core::MetricsPlane::reset();
+  obs::set(obs::kMetrics, true);
+  obs::set_path(obs::kMetrics, "");
+  obs::reset();
   const auto result = network.run_round(5);
   const auto snap = metrics::snapshot();
-  core::MetricsPlane::disable();
-  telemetry::set_enabled(false);
+  obs::set(obs::kMetrics, false);
 
   ASSERT_EQ(result.cells[0].tags_served, 2u);
   bool saw_overflow = false;
@@ -241,13 +236,12 @@ TEST(Network, MetricsPlaneEmitsRoamEvents) {
   network.associate();
   ASSERT_EQ(network.association()[0], 0u);
   network.move_tag(0, {1.0, 0.5});  // squarely in gateway 1's bay
-  core::MetricsPlane::enable();
-  metrics::set_export_path("");
-  core::MetricsPlane::reset();
+  obs::set(obs::kMetrics, true);
+  obs::set_path(obs::kMetrics, "");
+  obs::reset();
   ASSERT_EQ(network.roam(), 1u);
   const auto snap = metrics::snapshot();
-  core::MetricsPlane::disable();
-  telemetry::set_enabled(false);
+  obs::set(obs::kMetrics, false);
 
   ASSERT_EQ(snap.events.size(), 1u);
   const auto& e = snap.events[0];

@@ -1,5 +1,5 @@
 // Dual-path equivalence of the detection correlation engines (DESIGN.md
-// §9.3): the FFT engine must reproduce the naive engine's peaks — same
+// §8.3): the FFT engine must reproduce the naive engine's peaks — same
 // winning offsets, bit-identical values/phases at those offsets (winners
 // are re-scored with the exact folded dot) — across code length, family
 // size, CFO and SNR, at the engine level and through the full detector
@@ -127,7 +127,7 @@ TEST(CorrelationEngine, WindowShorterThanTemplateYieldsDefaults) {
 /// Full-detector equivalence sweep: code length × family size × CFO × SNR.
 /// The FFT- and auto-engine detectors must report the identical DetectedUser
 /// set — same codes, same offsets — with correlations and margins matching
-/// the naive reference to within the §9.3 tolerance (exact at agreeing
+/// the naive reference to within the §8.3 tolerance (exact at agreeing
 /// offsets, hence the tight bound).
 TEST(CorrelationEngine, DetectorEquivalenceSweep) {
   struct Family {

@@ -52,6 +52,19 @@ TEST(RxLinkQuality, MomentsMatchHandComputedValues) {
   EXPECT_NEAR(report.power_norm, 0.5, 1e-12);
 }
 
+TEST(RxLinkQuality, SmallSpreadAroundLargeMeanKeepsItsEvm) {
+  // |soft| = 1e4 ± 1e-5: population std 1e-5 over mean 1e4, so EVM = 1e-9.
+  // The one-pass sum2/n − mean² form cancels this to exactly 0.
+  std::vector<double> soft;
+  for (int k = 0; k < 64; ++k) {
+    soft.push_back((k % 2 == 0 ? 1.0 : -1.0) *
+                   (1e4 + (k % 4 < 2 ? 1e-5 : -1e-5)));
+  }
+  const auto report = compute_link_quality(soft, 1.0, 0.5, 1.0);
+  ASSERT_TRUE(report.valid);
+  EXPECT_NEAR(report.evm, 1e-9, 0.01 * 1e-9);
+}
+
 TEST(RxLinkQuality, ZeroRunnerUpCapsTheMarginRatio) {
   const std::vector<double> soft{1.0, 1.5};
   EXPECT_DOUBLE_EQ(compute_link_quality(soft, 3.0, 0.0, 1.0).margin_ratio,

@@ -1,4 +1,4 @@
-// Batch-vs-streaming equivalence (DESIGN.md §10): the chunked
+// Batch-vs-streaming equivalence (DESIGN.md §9): the chunked
 // StreamingReceiver must produce byte-identical RxReports to the batch
 // process_iq wrapper at every chunk size, including when a frame straddles
 // a chunk boundary, and must hold O(window) ring memory on streams of
@@ -18,7 +18,7 @@
 #include "rfsim/channel.h"
 #include "rx/frame_sync.h"
 #include "util/rng.h"
-#include "util/telemetry.h"
+#include "util/obs.h"
 
 namespace cbma::rx {
 namespace {
@@ -140,20 +140,20 @@ TEST(StreamingReceiver, TelemetryCountersMatchBatch) {
   const auto iq =
       make_window(codes, {{0, 1.0, 0.1, {7, 7}}, {3, 1.0, 0.5, {8, 8}}}, rng, 1e-4);
 
-  telemetry::set_enabled(true);
-  telemetry::reset();
+  obs::set(obs::kTelemetry, true);
+  obs::reset();
   const RxReport batch = rx.process_iq(iq);
   const auto batch_counters = counter_map();
 
   StreamingReceiver session(rx);
   for (const std::size_t chunk : {std::size_t{7}, std::size_t{4096}}) {
-    telemetry::reset();
+    obs::reset();
     const RxReport streamed = session.process(iq, chunk);
     const auto streamed_counters = counter_map();
     EXPECT_EQ(streamed, batch);
     EXPECT_EQ(streamed_counters, batch_counters) << "chunk_samples=" << chunk;
   }
-  telemetry::set_enabled(false);
+  obs::set(obs::kTelemetry, false);
 
   ASSERT_TRUE(batch_counters.contains("rx.outcome.ok"));
   EXPECT_EQ(batch_counters.at("rx.outcome.ok"), 2u);

@@ -12,7 +12,7 @@
 #include <thread>
 #include <vector>
 
-#include "util/profiler.h"
+#include "util/obs.h"
 
 namespace cbma::util {
 namespace {

@@ -1,11 +1,11 @@
-// util/probe unit coverage: the strict-identity off path (no storage, no
+// util/obs probe unit coverage: the strict-identity off path (no storage, no
 // state), the bounded capture mechanics (per-tap caps, truncation, dropped
 // counters), IQ interleaving, sweep-point labelling via ScopedPoint, and
 // the tap name table the manifest format depends on.
 //
 // Each TEST runs in its own process (gtest_discover_tests), so enabling
 // probing here cannot leak into other tests.
-#include "util/probe.h"
+#include "util/obs.h"
 
 #include <gtest/gtest.h>
 
@@ -32,14 +32,14 @@ TEST(UtilProbe, TapNamesAreCompleteAndUnique) {
 }
 
 TEST(UtilProbe, DisabledRecordingIsANoOp) {
-  set_enabled(false);
+  obs::set(obs::kProbe, false);
   const std::vector<double> samples{1.0, 2.0, 3.0};
   const std::vector<std::complex<double>> iq{{1.0, -1.0}};
   record_tap(Tap::kSyncEnergy, 0, samples);
   record_tap_iq(Tap::kCompositeIq, 0, iq);
   record_link_quality(LinkQualitySample{});
   { const ScopedPoint point(7); }
-  EXPECT_EQ(tap_count(), 0u);
+  EXPECT_EQ(snapshot().taps.size(), 0u);
   EXPECT_EQ(current_point(), 0u);
   const auto capture = snapshot();
   EXPECT_TRUE(capture.taps.empty());
@@ -49,8 +49,8 @@ TEST(UtilProbe, DisabledRecordingIsANoOp) {
 }
 
 TEST(UtilProbe, RecordsCarrySequenceContextAndData) {
-  set_enabled(true);
-  reset();
+  obs::set(obs::kProbe, true);
+  obs::reset();
   const std::vector<double> a{1.0, 2.0};
   const std::vector<double> b{3.0};
   record_tap(Tap::kSyncEnergy, 0, a);
@@ -60,7 +60,7 @@ TEST(UtilProbe, RecordsCarrySequenceContextAndData) {
   lq.snr_db = 12.5;
   record_link_quality(lq);
   const auto capture = snapshot();
-  set_enabled(false);
+  obs::set(obs::kProbe, false);
 
   ASSERT_EQ(capture.taps.size(), 2u);
   EXPECT_EQ(capture.taps[0].tap, Tap::kSyncEnergy);
@@ -75,16 +75,16 @@ TEST(UtilProbe, RecordsCarrySequenceContextAndData) {
   EXPECT_EQ(capture.link[0].tag, 2u);
   EXPECT_DOUBLE_EQ(capture.link[0].snr_db, 12.5);
   EXPECT_LT(capture.taps[1].seq, capture.link[0].seq);
-  reset();
+  obs::reset();
 }
 
 TEST(UtilProbe, ComplexRecordsInterleaveReIm) {
-  set_enabled(true);
-  reset();
+  obs::set(obs::kProbe, true);
+  obs::reset();
   const std::vector<std::complex<double>> iq{{1.0, -2.0}, {3.0, 4.0}};
   record_tap_iq(Tap::kCompositeIq, 0, iq);
   const auto capture = snapshot();
-  set_enabled(false);
+  obs::set(obs::kProbe, false);
 
   ASSERT_EQ(capture.taps.size(), 1u);
   const auto& r = capture.taps[0];
@@ -94,12 +94,12 @@ TEST(UtilProbe, ComplexRecordsInterleaveReIm) {
   EXPECT_DOUBLE_EQ(r.data[1], -2.0);
   EXPECT_DOUBLE_EQ(r.data[2], 3.0);
   EXPECT_DOUBLE_EQ(r.data[3], 4.0);
-  reset();
+  obs::reset();
 }
 
 TEST(UtilProbe, PerTapCapDropsOverflowAndCounts) {
-  set_enabled(true);
-  reset();
+  obs::set(obs::kProbe, true);
+  obs::reset();
   const std::vector<double> sample{1.0};
   for (std::size_t i = 0; i < kMaxRecordsPerTap + 10; ++i) {
     record_tap(Tap::kSyncEnergy, 0, sample);
@@ -107,44 +107,44 @@ TEST(UtilProbe, PerTapCapDropsOverflowAndCounts) {
   // A different tap still has its own budget.
   record_tap(Tap::kSoftBits, 0, sample);
   const auto capture = snapshot();
-  set_enabled(false);
+  obs::set(obs::kProbe, false);
 
   EXPECT_EQ(capture.taps.size(), kMaxRecordsPerTap + 1);
   EXPECT_EQ(capture.dropped_taps, 10u);
-  reset();
+  obs::reset();
 }
 
 TEST(UtilProbe, OverlongRecordsAreTruncatedNotDropped) {
-  set_enabled(true);
-  reset();
+  obs::set(obs::kProbe, true);
+  obs::reset();
   const std::vector<double> big(kMaxSamplesPerRecord + 100, 1.5);
   record_tap(Tap::kCorrelationProfile, 1, big);
   const auto capture = snapshot();
-  set_enabled(false);
+  obs::set(obs::kProbe, false);
 
   ASSERT_EQ(capture.taps.size(), 1u);
   EXPECT_EQ(capture.taps[0].data.size(), kMaxSamplesPerRecord);
   EXPECT_EQ(capture.dropped_taps, 0u);
-  reset();
+  obs::reset();
 }
 
 TEST(UtilProbe, LinkQualityCapDropsOverflow) {
-  set_enabled(true);
-  reset();
+  obs::set(obs::kProbe, true);
+  obs::reset();
   for (std::size_t i = 0; i < kMaxLinkQualitySamples + 5; ++i) {
     record_link_quality(LinkQualitySample{});
   }
   const auto capture = snapshot();
-  set_enabled(false);
+  obs::set(obs::kProbe, false);
 
   EXPECT_EQ(capture.link.size(), kMaxLinkQualitySamples);
   EXPECT_EQ(capture.dropped_link, 5u);
-  reset();
+  obs::reset();
 }
 
 TEST(UtilProbe, ScopedPointLabelsRecordsAndRestores) {
-  set_enabled(true);
-  reset();
+  obs::set(obs::kProbe, true);
+  obs::reset();
   const std::vector<double> sample{1.0};
   record_tap(Tap::kSyncEnergy, 0, sample);  // outside any sweep: point 0
   {
@@ -160,40 +160,40 @@ TEST(UtilProbe, ScopedPointLabelsRecordsAndRestores) {
   }
   EXPECT_EQ(current_point(), 0u);
   const auto capture = snapshot();
-  set_enabled(false);
+  obs::set(obs::kProbe, false);
 
   ASSERT_EQ(capture.taps.size(), 4u);
   EXPECT_EQ(capture.taps[0].point, 0u);
   EXPECT_EQ(capture.taps[1].point, 3u);
   EXPECT_EQ(capture.taps[2].point, 9u);
   EXPECT_EQ(capture.taps[3].point, 3u);
-  reset();
+  obs::reset();
 }
 
 TEST(UtilProbe, ResetClearsCaptureAndSequence) {
-  set_enabled(true);
-  reset();
+  obs::set(obs::kProbe, true);
+  obs::reset();
   const std::vector<double> sample{1.0};
   record_tap(Tap::kSyncEnergy, 0, sample);
   record_link_quality(LinkQualitySample{});
-  EXPECT_EQ(tap_count(), 1u);
-  reset();
-  EXPECT_EQ(tap_count(), 0u);
+  EXPECT_EQ(snapshot().taps.size(), 1u);
+  obs::reset();
+  EXPECT_EQ(snapshot().taps.size(), 0u);
   record_tap(Tap::kSyncEnergy, 0, sample);
   const auto capture = snapshot();
-  set_enabled(false);
+  obs::set(obs::kProbe, false);
 
   ASSERT_EQ(capture.taps.size(), 1u);
   EXPECT_EQ(capture.taps[0].seq, 0u);  // sequence counter restarted
   EXPECT_TRUE(capture.link.empty());
-  reset();
+  obs::reset();
 }
 
 TEST(UtilProbe, DumpPathIsProgrammable) {
-  set_dump_path("probe_test_dump.bin");
-  EXPECT_EQ(dump_path(), "probe_test_dump.bin");
-  set_dump_path("");
-  EXPECT_EQ(dump_path(), "");
+  obs::set_path(obs::kProbe, "probe_test_dump.bin");
+  EXPECT_EQ(obs::path(obs::kProbe), "probe_test_dump.bin");
+  obs::set_path(obs::kProbe, "");
+  EXPECT_EQ(obs::path(obs::kProbe), "");
 }
 
 }  // namespace

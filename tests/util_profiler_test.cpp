@@ -1,11 +1,11 @@
-// util/profiler: the hierarchical span-attribution tree (DESIGN.md §13).
+// The profiler layer: the hierarchical span-attribution tree (DESIGN.md §7).
 // Covers the contracts the export tooling leans on: the off path allocates
 // nothing, caller paths build a tree with the exact per-node identity
 // incl == excl + child_ns, the fixed node pool drops (never allocates) on
 // exhaustion, parallel_for workers merge under the launching span via
 // context replay, and tree shape + item counts are deterministic across
 // worker counts even though the times are wall-clock.
-#include "util/profiler.h"
+#include "util/obs.h"
 
 #include <gtest/gtest.h>
 
@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "util/parallel.h"
-#include "util/telemetry.h"
 
 namespace cbma::profiler {
 namespace {
@@ -30,12 +29,12 @@ using telemetry::Span;
 class ProfilerGuard {
  public:
   explicit ProfilerGuard(bool on) : was_on_(enabled()) {
-    set_enabled(on);
-    reset();
+    obs::set(obs::kProfile, on);
+    obs::reset();
   }
   ~ProfilerGuard() {
-    reset();
-    set_enabled(was_on_);
+    obs::reset();
+    obs::set(obs::kProfile, was_on_);
   }
 
  private:
@@ -60,14 +59,14 @@ void check_identity(const MergedNode& node) {
 
 TEST(Profiler, OffPathRegistersNoSinks) {
   ProfilerGuard guard(false);
-  const std::size_t before = sink_count();
+  const std::size_t before = obs::sink_count();
   // A fresh thread is the clean probe: its thread_local sink pointer is
   // null, and with the profiler off ScopedSpan must never allocate one.
   std::thread([] {
     const ScopedSpan outer(Span::kRxProcess);
     const ScopedSpan inner(Span::kRxDetect);
   }).join();
-  EXPECT_EQ(sink_count(), before);
+  EXPECT_EQ(obs::sink_count(), before);
   EXPECT_TRUE(merged_tree().roots.empty());
 }
 
@@ -151,8 +150,8 @@ TEST(Profiler, PoolExhaustionDropsNotCrashes) {
   };
   for (const auto& root : snap.roots) count(root);
   EXPECT_EQ(nodes, kNodeCapacity);
-  // reset() reclaims the pool: recording works again afterwards.
-  reset();
+  // obs::reset() reclaims the pool: recording works again afterwards.
+  obs::reset();
   {
     const ScopedSpan s(Span::kRxDecode);
   }
@@ -272,7 +271,7 @@ TEST(Profiler, ResetClearsTreeAndSites) {
   record_parallel("test/reset", stats);
   ASSERT_FALSE(merged_tree().roots.empty());
   ASSERT_FALSE(parallel_stats().empty());
-  reset();
+  obs::reset();
   EXPECT_TRUE(merged_tree().roots.empty());
   EXPECT_TRUE(parallel_stats().empty());
   EXPECT_EQ(merged_tree().dropped, 0u);

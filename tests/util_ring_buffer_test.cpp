@@ -1,6 +1,6 @@
 // util::RingBuffer — absolute-position indexing, lazy power-of-two growth,
 // release/retention and wrap-aware copies: the storage contract the
-// streaming receiver's O(window) guarantee rests on (DESIGN.md §10).
+// streaming receiver's O(window) guarantee rests on (DESIGN.md §9).
 #include "util/ring_buffer.h"
 
 #include <gtest/gtest.h>

@@ -1,11 +1,11 @@
-// util/telemetry unit coverage: the pieces the pipeline-level tests can't
+// util/obs telemetry unit coverage: the pieces the pipeline-level tests can't
 // pin exactly — histogram quantile accuracy against synthetic durations,
 // counter arithmetic, name-table completeness/uniqueness, and the
 // flight-recorder ring mechanics via direct record_frame calls.
 //
 // Each TEST runs in its own process (gtest_discover_tests), so enabling
 // telemetry here cannot leak into other tests.
-#include "util/telemetry.h"
+#include "util/obs.h"
 
 #include <gtest/gtest.h>
 
@@ -39,12 +39,12 @@ TEST(UtilTelemetry, SpanAndCounterNamesAreCompleteAndUnique) {
 }
 
 TEST(UtilTelemetry, DisabledRecordingIsANoOp) {
-  set_enabled(false);
+  obs::set(obs::kTelemetry, false);
   record_span(Span::kRxProcess, 1, 100);
-  add_count(Counter::kRxDetections, 5);
+  count(Counter::kRxDetections, 5);
   record_frame(FrameTrace{});
   { const ScopedSpan span(Span::kRxDecode); }
-  EXPECT_EQ(sink_count(), 0u);
+  EXPECT_EQ(obs::sink_count(), 0u);
   const auto snap = snapshot();
   EXPECT_TRUE(snap.spans.empty());
   EXPECT_TRUE(snap.counters.empty());
@@ -52,8 +52,8 @@ TEST(UtilTelemetry, DisabledRecordingIsANoOp) {
 }
 
 TEST(UtilTelemetry, SpanStatisticsAndQuantilesWithinBucketError) {
-  set_enabled(true);
-  reset();
+  obs::set(obs::kTelemetry, true);
+  obs::reset();
   // 1..1000 ns, shuffled order must not matter for rank statistics.
   std::vector<std::uint64_t> durations;
   for (std::uint64_t d = 1; d <= 1000; ++d) durations.push_back(d);
@@ -64,7 +64,7 @@ TEST(UtilTelemetry, SpanStatisticsAndQuantilesWithinBucketError) {
     total += d;
   }
   const auto snap = snapshot();
-  set_enabled(false);
+  obs::set(obs::kTelemetry, false);
 
   ASSERT_EQ(snap.spans.size(), 1u);
   const auto& s = snap.spans[0];
@@ -78,18 +78,18 @@ TEST(UtilTelemetry, SpanStatisticsAndQuantilesWithinBucketError) {
   EXPECT_NEAR(s.p50_ns, 500.0, 0.125 * 500.0);
   EXPECT_NEAR(s.p90_ns, 900.0, 0.125 * 900.0);
   EXPECT_NEAR(s.p99_ns, 990.0, 0.125 * 990.0);
-  reset();
+  obs::reset();
 }
 
 TEST(UtilTelemetry, CountersAccumulateAcrossCalls) {
-  set_enabled(true);
-  reset();
-  add_count(Counter::kChannelSamples, 100);
-  add_count(Counter::kChannelSamples, 23);
+  obs::set(obs::kTelemetry, true);
+  obs::reset();
+  count(Counter::kChannelSamples, 100);
+  count(Counter::kChannelSamples, 23);
   count(Counter::kChannelWindows);         // default n = 1
   count(Counter::kChannelWindows, 2);
   const auto snap = snapshot();
-  set_enabled(false);
+  obs::set(obs::kTelemetry, false);
 
   ASSERT_EQ(snap.counters.size(), 2u);
   std::uint64_t samples = 0, windows = 0;
@@ -99,62 +99,62 @@ TEST(UtilTelemetry, CountersAccumulateAcrossCalls) {
   }
   EXPECT_EQ(samples, 123u);
   EXPECT_EQ(windows, 3u);
-  reset();
+  obs::reset();
 }
 
 TEST(UtilTelemetry, FrameRingWrapsAndSeqIsGlobal) {
-  set_flight_recorder_capacity(4);
-  set_enabled(true);
-  reset();
-  for (std::uint32_t k = 0; k < 11; ++k) {
+  obs::set(obs::kTelemetry, true);
+  obs::reset();
+  constexpr std::size_t kOffered = kFlightRecorderCapacity + 7;
+  for (std::uint32_t k = 0; k < kOffered; ++k) {
     FrameTrace f;
     f.tag_id = k;
     record_frame(f);
   }
   const auto snap = snapshot();
-  set_enabled(false);
+  obs::set(obs::kTelemetry, false);
 
-  ASSERT_EQ(snap.frames.size(), 4u);
-  // Last four of the eleven, in seq order, seq stamped 0..10 globally.
-  for (std::size_t i = 0; i < 4; ++i) {
+  ASSERT_EQ(snap.frames.size(), kFlightRecorderCapacity);
+  // The latest frames, in seq order, seq stamped 0..kOffered-1 globally.
+  for (std::size_t i = 0; i < kFlightRecorderCapacity; ++i) {
     EXPECT_EQ(snap.frames[i].seq, 7u + i);
     EXPECT_EQ(snap.frames[i].tag_id, 7u + i);
     EXPECT_GT(snap.frames[i].ts_ns, 0u);
   }
-  reset();
+  obs::reset();
 }
 
 TEST(UtilTelemetry, ResetClearsDataButKeepsSinksRegistered) {
-  set_enabled(true);
-  reset();
+  obs::set(obs::kTelemetry, true);
+  obs::reset();
   record_span(Span::kSweepPoint, 1, 50);
-  add_count(Counter::kSweepPoints, 1);
-  ASSERT_EQ(sink_count(), 1u);
-  reset();
+  count(Counter::kSweepPoints, 1);
+  ASSERT_EQ(obs::sink_count(), 1u);
+  obs::reset();
   const auto snap = snapshot();
-  set_enabled(false);
+  obs::set(obs::kTelemetry, false);
   EXPECT_TRUE(snap.spans.empty());
   EXPECT_TRUE(snap.counters.empty());
-  EXPECT_EQ(sink_count(), 1u);
+  EXPECT_EQ(obs::sink_count(), 1u);
 }
 
 TEST(UtilTelemetry, TraceEventsCapturedOnlyWhenTraceFlagOn) {
-  set_enabled(true);
-  reset();
+  obs::set(obs::kTelemetry, true);
+  obs::reset();
   record_span(Span::kRxDetect, 10, 5);
   EXPECT_TRUE(snapshot().events.empty());
-  set_trace_enabled(true);
+  obs::set(obs::kTrace, true);
   record_span(Span::kRxDetect, 20, 5);
   record_span(Span::kRxDecode, 30, 7);
-  set_trace_enabled(false);
+  obs::set(obs::kTrace, false);
   const auto snap = snapshot();
-  set_enabled(false);
+  obs::set(obs::kTelemetry, false);
 
   ASSERT_EQ(snap.events.size(), 2u);
   EXPECT_EQ(snap.events[0].span, Span::kRxDetect);
   EXPECT_EQ(snap.events[0].ts_ns, 20u);
   EXPECT_EQ(snap.events[1].dur_ns, 7u);
-  reset();
+  obs::reset();
 }
 
 // --- histogram bucketing edges (the metrics plane's percentile substrate) --

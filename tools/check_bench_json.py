@@ -1,29 +1,15 @@
 #!/usr/bin/env python3
 """Validate the BENCH_*.json artifacts the bench suite emits.
 
-Usage: check_bench_json.py [--require-telemetry] [--require-link-quality]
-                           [--require-timeseries] [--require-profile]
-                           <dir> <bench-name>...
+Usage: check_bench_json.py <dir> <bench-name>...
 
 For every listed bench the script requires <dir>/BENCH_<name>.json to
 exist, parse, and carry the recorder schema (schema_version 1): bench
 metadata, config summary + fingerprint, axes consistent with the point
-grid, per-point metrics, captured tables, and shape-check verdicts.
-A `telemetry` section (present when the run had CBMA_TELEMETRY=1) is
-validated against the observability schema of DESIGN.md §7 whenever it
-appears; `--require-telemetry` additionally fails documents without one
-(CI's telemetry-enabled smoke run uses this). Likewise a `link_quality`
-section (present when the run had CBMA_PROBE=<path>) and a `watchdog`
-warning array are validated against DESIGN.md §8 whenever they appear;
-`--require-link-quality` fails documents without the probe sections.
-The metrics-plane `timeseries` + `events` sections (present when the run
-had CBMA_METRICS=<path>, DESIGN.md §12) are validated whenever they
-appear; `--require-timeseries` fails documents without them. The
-profiler's `profile` section (present when the run had
-CBMA_PROFILE=<path>, DESIGN.md §13) is validated whenever it appears —
-tree nodes must balance incl == excl + child_ns and parallel-site worker
-slots must sum to their aggregates; `--require-profile` fails documents
-without one (profile_inspect.py checks the deeper invariants).
+grid, per-point metrics, captured tables, and shape-check verdicts. Any
+observability section the document carries is validated by cbma_obs.py,
+which holds the one validator per section (DESIGN.md §7); use
+`cbma_obs.py check --require ...` to insist a section is present.
 `kernels` is special-cased: bench_kernels emits google-benchmark's own
 JSON, which is validated as such. Exits non-zero on the first failure so
 CI fails loudly on a missing or malformed document.
@@ -31,11 +17,7 @@ CI fails loudly on a missing or malformed document.
 import json
 import sys
 
-SPAN_KEYS = ("name", "count", "total_ns", "min_ns", "max_ns", "mean_ns",
-             "p50_ns", "p90_ns", "p99_ns")
-FRAME_KEYS = ("seq", "ts_ns", "tag", "code_length", "correlation", "margin",
-              "cfo_hz", "power_dbm", "impedance_level", "outcome",
-              "impairment_gates")
+import cbma_obs
 
 
 def fail(msg: str) -> None:
@@ -43,218 +25,7 @@ def fail(msg: str) -> None:
     sys.exit(1)
 
 
-def check_telemetry_section(name: str, tel: dict) -> None:
-    """Observability schema (DESIGN.md §7): spans with ordered percentile
-    statistics, named non-zero counters, a bounded flight recorder."""
-    for key in ("threads", "spans", "counters", "flight_recorder"):
-        if key not in tel:
-            fail(f"{name}: telemetry section missing key '{key}'")
-    if not isinstance(tel["threads"], int) or tel["threads"] < 1:
-        fail(f"{name}: telemetry.threads {tel['threads']!r} is not a "
-             "positive integer")
-    if not isinstance(tel["spans"], list) or not tel["spans"]:
-        fail(f"{name}: telemetry.spans missing or empty")
-    for span in tel["spans"]:
-        for key in SPAN_KEYS:
-            if key not in span:
-                fail(f"{name}: telemetry span missing key '{key}': {span}")
-        if "/" not in span["name"]:
-            fail(f"{name}: span name '{span['name']}' violates the "
-                 "layer/stage scheme")
-        if span["count"] < 1:
-            fail(f"{name}: span '{span['name']}' recorded with count 0")
-        if not span["p50_ns"] <= span["p90_ns"] <= span["p99_ns"]:
-            fail(f"{name}: span '{span['name']}' percentiles out of order")
-        if span["min_ns"] > span["max_ns"]:
-            fail(f"{name}: span '{span['name']}' min > max")
-    counters = tel["counters"]
-    if not isinstance(counters, dict):
-        fail(f"{name}: telemetry.counters is not an object")
-    for counter, value in counters.items():
-        if "." not in counter:
-            fail(f"{name}: counter name '{counter}' violates the "
-             "layer.event scheme")
-        if not isinstance(value, int) or value < 1:
-            fail(f"{name}: counter '{counter}' has non-positive value "
-                 f"{value!r} (zero counters are omitted)")
-    if len(counters) < 10:
-        fail(f"{name}: only {len(counters)} named counters "
-             "(observability contract promises ≥ 10 on a pipeline run)")
-    if not isinstance(tel["flight_recorder"], list):
-        fail(f"{name}: telemetry.flight_recorder is not an array")
-    prev_seq = -1
-    for frame in tel["flight_recorder"]:
-        for key in FRAME_KEYS:
-            if key not in frame:
-                fail(f"{name}: flight-recorder frame missing key '{key}'")
-        if not isinstance(frame["outcome"], str) or not frame["outcome"]:
-            fail(f"{name}: flight-recorder outcome should be the rx label, "
-                 f"got {frame['outcome']!r}")
-        if frame["seq"] <= prev_seq:
-            fail(f"{name}: flight-recorder seq not strictly increasing")
-        prev_seq = frame["seq"]
-
-
-TAG_AGG_KEYS = ("tag", "frames", "decoded", "snr_db_mean", "evm_mean",
-                "soft_margin_mean", "margin_ratio_mean", "power_norm_mean",
-                "correlation_mean")
-WATCHDOG_KEYS = ("metric", "point", "kind", "value", "reference", "detail")
-
-
-def check_link_quality_section(name: str, lq: dict) -> None:
-    """Signal-probe schema (DESIGN.md §8): capture totals plus per-tag
-    aggregates of the receiver's link-quality rows."""
-    for key in ("samples", "dropped", "tags"):
-        if key not in lq:
-            fail(f"{name}: link_quality section missing key '{key}'")
-    for key in ("samples", "dropped"):
-        if not isinstance(lq[key], int) or lq[key] < 0:
-            fail(f"{name}: link_quality.{key} {lq[key]!r} is not a "
-                 "non-negative integer")
-    if not isinstance(lq["tags"], list):
-        fail(f"{name}: link_quality.tags is not an array")
-    frames_total = 0
-    for entry in lq["tags"]:
-        for key in TAG_AGG_KEYS:
-            if key not in entry:
-                fail(f"{name}: link_quality tag entry missing key '{key}': "
-                     f"{entry}")
-        if entry["frames"] < 1:
-            fail(f"{name}: link_quality tag {entry['tag']} aggregated over "
-                 "0 frames (empty tags are omitted)")
-        if entry["decoded"] > entry["frames"]:
-            fail(f"{name}: link_quality tag {entry['tag']} decoded more "
-                 "frames than it saw")
-        frames_total += entry["frames"]
-    if frames_total != lq["samples"]:
-        fail(f"{name}: link_quality per-tag frames sum to {frames_total}, "
-             f"samples says {lq['samples']}")
-
-
-def check_watchdog_section(name: str, warnings: list) -> None:
-    """Anomaly-watchdog schema (DESIGN.md §8): structured warnings from
-    scan_sweep_anomalies — floor breaches and neighbor deviations."""
-    if not isinstance(warnings, list):
-        fail(f"{name}: watchdog section is not an array")
-    for warning in warnings:
-        for key in WATCHDOG_KEYS:
-            if key not in warning:
-                fail(f"{name}: watchdog warning missing key '{key}': "
-                     f"{warning}")
-        if warning["kind"] not in ("floor", "neighbor"):
-            fail(f"{name}: watchdog warning kind {warning['kind']!r} is "
-                 "neither 'floor' nor 'neighbor'")
-        if not isinstance(warning["detail"], str) or not warning["detail"]:
-            fail(f"{name}: watchdog warning without a detail line")
-        print(f"check_bench_json: note: {name}: watchdog warning: "
-              f"{warning['detail']}")
-
-
-SEVERITIES = ("info", "warning", "error")
-
-
-def check_timeseries_section(name: str, ts: dict) -> None:
-    """Metrics-plane schema (DESIGN.md §12): bounded windowed series keyed
-    by (name, scope), window indices monotone per series."""
-    for key in ("windows", "window_capacity", "dropped", "series"):
-        if key not in ts:
-            fail(f"{name}: timeseries section missing key '{key}'")
-    for key in ("points", "series", "events"):
-        if key not in ts["dropped"]:
-            fail(f"{name}: timeseries.dropped missing key '{key}'")
-    if not isinstance(ts["series"], list) or not ts["series"]:
-        fail(f"{name}: timeseries.series missing or empty")
-    seen = set()
-    for series in ts["series"]:
-        for key in ("name", "scope", "points"):
-            if key not in series:
-                fail(f"{name}: timeseries series missing key '{key}': "
-                     f"{series}")
-        ident = (series["name"], series["scope"])
-        if ident in seen:
-            fail(f"{name}: duplicate timeseries series {ident}")
-        seen.add(ident)
-        if len(series["points"]) > ts["window_capacity"]:
-            fail(f"{name}: series {ident} exceeds the ring capacity")
-        prev = -1
-        for point in series["points"]:
-            if len(point) != 2 or not isinstance(point[1], (int, float)):
-                fail(f"{name}: series {ident} malformed point {point}")
-            if point[0] < prev:
-                fail(f"{name}: series {ident} window indices not monotone")
-            prev = point[0]
-
-
-def check_events_section(name: str, events: list) -> None:
-    """Structured event-log schema (DESIGN.md §12): typed entries with a
-    severity from the fixed vocabulary, strictly increasing seq."""
-    if not isinstance(events, list):
-        fail(f"{name}: events section is not an array")
-    prev_seq = -1
-    for event in events:
-        for key in ("seq", "window", "severity", "type", "value"):
-            if key not in event:
-                fail(f"{name}: event missing key '{key}': {event}")
-        if event["seq"] <= prev_seq:
-            fail(f"{name}: event seq not strictly increasing")
-        prev_seq = event["seq"]
-        if event["severity"] not in SEVERITIES:
-            fail(f"{name}: event severity {event['severity']!r} unknown")
-        if not isinstance(event["type"], str) or not event["type"]:
-            fail(f"{name}: event without a type label")
-
-
-def check_profile_node(name: str, node: dict) -> None:
-    for key in ("span", "count", "incl_ns", "excl_ns", "child_ns",
-                "children"):
-        if key not in node:
-            fail(f"{name}: profile tree node missing key '{key}': {node}")
-    if "/" not in node["span"]:
-        fail(f"{name}: profile span '{node['span']}' violates the "
-             "layer/stage scheme")
-    if node["incl_ns"] != node["excl_ns"] + node["child_ns"]:
-        fail(f"{name}: profile node '{node['span']}' does not balance: "
-             f"incl {node['incl_ns']} != excl {node['excl_ns']} + child "
-             f"{node['child_ns']}")
-    for child in node["children"]:
-        check_profile_node(name, child)
-
-
-def check_profile_section(name: str, prof: dict) -> None:
-    """Profiler schema (DESIGN.md §13): the merged caller-path tree plus
-    parallel_for worker-utilization sites."""
-    for key in ("threads", "dropped", "tree", "parallel"):
-        if key not in prof:
-            fail(f"{name}: profile section missing key '{key}'")
-    if not isinstance(prof["threads"], int) or prof["threads"] < 1:
-        fail(f"{name}: profile.threads {prof['threads']!r} is not a "
-             "positive integer")
-    if not isinstance(prof["tree"], list) or not prof["tree"]:
-        fail(f"{name}: profile.tree missing or empty")
-    for root in prof["tree"]:
-        check_profile_node(name, root)
-    for site in prof["parallel"]:
-        for key in ("site", "calls", "items", "wall_ns", "busy_ns",
-                    "imbalance", "workers"):
-            if key not in site:
-                fail(f"{name}: profile parallel site missing key '{key}': "
-                     f"{site}")
-        if site["imbalance"] < 1.0:
-            fail(f"{name}: profile site '{site['site']}' imbalance "
-                 f"{site['imbalance']} < 1")
-        if sum(w["busy_ns"] for w in site["workers"]) != site["busy_ns"]:
-            fail(f"{name}: profile site '{site['site']}' worker busy slots "
-                 "do not sum to busy_ns")
-        if sum(w["items"] for w in site["workers"]) != site["items"]:
-            fail(f"{name}: profile site '{site['site']}' worker item slots "
-                 "do not sum to items")
-
-
-def check_recorder_doc(name: str, doc: dict,
-                       require_telemetry: bool = False,
-                       require_link_quality: bool = False,
-                       require_timeseries: bool = False,
-                       require_profile: bool = False) -> None:
+def check_recorder_doc(name: str, doc: dict) -> None:
     for key in ("schema_version", "bench", "title", "paper_ref", "config",
                 "base_seed", "trials_per_point", "axes", "points", "tables",
                 "checks", "notes"):
@@ -299,33 +70,13 @@ def check_recorder_doc(name: str, doc: dict,
         if not check["holds"]:
             print(f"check_bench_json: note: {name}: shape check VIOLATED: "
                   f"{check['name']}")
-    if "telemetry" in doc:
-        check_telemetry_section(name, doc["telemetry"])
-    elif require_telemetry:
-        fail(f"{name}: no telemetry section but --require-telemetry given — "
-             "was the bench run without CBMA_TELEMETRY=1?")
-    if "link_quality" in doc:
-        check_link_quality_section(name, doc["link_quality"])
-    elif require_link_quality:
-        fail(f"{name}: no link_quality section but --require-link-quality "
-             "given — was the bench run without CBMA_PROBE=<path>?")
-    if "watchdog" in doc:
-        check_watchdog_section(name, doc["watchdog"])
-    elif require_link_quality:
-        fail(f"{name}: no watchdog section but --require-link-quality given")
-    if ("timeseries" in doc) != ("events" in doc):
-        fail(f"{name}: timeseries and events sections must appear together")
-    if "timeseries" in doc:
-        check_timeseries_section(name, doc["timeseries"])
-        check_events_section(name, doc["events"])
-    elif require_timeseries:
-        fail(f"{name}: no timeseries section but --require-timeseries given "
-             "— was the bench run without CBMA_METRICS=<path>?")
-    if "profile" in doc:
-        check_profile_section(name, doc["profile"])
-    elif require_profile:
-        fail(f"{name}: no profile section but --require-profile given — "
-             "was the bench run without CBMA_PROFILE=<path>?")
+    try:
+        cbma_obs.check_sections(doc)
+    except cbma_obs.CheckError as e:
+        fail(f"{name}: {e}")
+    for warning in doc.get("watchdog", []):
+        print(f"check_bench_json: note: {name}: watchdog warning: "
+              f"{warning['detail']}")
 
 
 def check_google_benchmark_doc(name: str, doc: dict) -> None:
@@ -337,17 +88,8 @@ def check_google_benchmark_doc(name: str, doc: dict) -> None:
 
 def main() -> None:
     args = sys.argv[1:]
-    require_telemetry = "--require-telemetry" in args
-    require_link_quality = "--require-link-quality" in args
-    require_timeseries = "--require-timeseries" in args
-    require_profile = "--require-profile" in args
-    args = [a for a in args
-            if a not in ("--require-telemetry", "--require-link-quality",
-                         "--require-timeseries", "--require-profile")]
     if len(args) < 2:
-        fail("usage: check_bench_json.py [--require-telemetry] "
-             "[--require-link-quality] [--require-timeseries] "
-             "[--require-profile] <dir> <bench-name>...")
+        fail("usage: check_bench_json.py <dir> <bench-name>...")
     directory, names = args[0], args[1:]
     for name in names:
         path = f"{directory}/BENCH_{name}.json"
@@ -361,9 +103,7 @@ def main() -> None:
         if name == "kernels":
             check_google_benchmark_doc(name, doc)
         else:
-            check_recorder_doc(name, doc, require_telemetry,
-                               require_link_quality, require_timeseries,
-                               require_profile)
+            check_recorder_doc(name, doc)
         print(f"check_bench_json: OK: {path}")
     print(f"check_bench_json: validated {len(names)} documents")
 

@@ -29,17 +29,17 @@ instead of the baseline: every BM_StreamingRx row exports an
 rx_ring_bytes counter (resident ring footprint after the run), and the
 gate requires the value to be byte-identical across all stream lengths —
 a ring that grows with the 10x stream means per-sample state is being
-retained (DESIGN.md §10).
+retained (DESIGN.md §9).
 
 `--metrics-overhead` checks the metrics plane's cost ceiling instead of
 the baseline: every BM_<X>Metrics row is paired with its metrics-off twin
 BM_<X> on the ns_per_round counter, and the gate requires the enabled run
 to stay within METRICS_OVERHEAD_TOLERANCE (+2 %) of the twin — the
-strict-identity-when-off contract's enabled-side budget (DESIGN.md §12).
+strict-identity-when-off contract's enabled-side budget (DESIGN.md §7).
 Pairs are matched within one run, so machine speed cancels out.
 
 `--profile-overhead` is the same self-relative gate for the hierarchical
-profiler (DESIGN.md §13): every BM_<X>Profile row is paired with its
+profiler (DESIGN.md §7): every BM_<X>Profile row is paired with its
 profiler-off twin BM_<X> on ns_per_round, and the enabled run must stay
 within PROFILE_OVERHEAD_TOLERANCE (+2 %) of the twin.
 
@@ -48,7 +48,7 @@ baseline: it groups the BM_DetectPeaks{Naive,Fft,Auto}/K/L/W rows of a
 fresh run by grid point and, wherever the naive and FFT engines are
 clearly separated (>= CROSSOVER_SEPARATION apart), requires the auto
 engine to land within CROSSOVER_SLACK of the winner. That pins the auto
-cost model (rx::CorrelationEngine, DESIGN.md §9.2) to measured reality
+cost model (rx::CorrelationEngine, DESIGN.md §8.2) to measured reality
 without hard-coding machine-dependent absolute times.
 """
 import json
