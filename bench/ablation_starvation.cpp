@@ -7,12 +7,11 @@
 // persists — service concentrates) and the rotation policy the paper
 // sketches (re-draw the group every epoch and re-adapt — fair, at an
 // adaptation cost).
-#include <algorithm>
 #include <cstdio>
+#include <optional>
 
 #include "common.h"
-#include "core/system.h"
-#include "mac/node_selection.h"
+#include "core/session.h"
 #include "util/stats.h"
 #include "util/table.h"
 
@@ -34,33 +33,28 @@ PolicyStats run_policy(bool rotate, std::size_t population, std::size_t rounds,
   auto dep = rfsim::Deployment::paper_frame();
   dep.place_random_tags(population, rfsim::Room{3.0, 4.0}, rng, 0.15, 0.3);
   core::CbmaSystem cell(cfg, dep);
+  cell.set_active_group(core::random_group(population, 5, rng));
 
-  std::vector<std::size_t> order(population);
-  for (std::size_t i = 0; i < population; ++i) order[i] = i;
-  rng.shuffle(order);
-  cell.set_active_group({order.begin(), order.begin() + 5});
-
-  const mac::NodeSelector selector({}, cell.link_budget());
+  core::SessionConfig session_cfg;
+  session_cfg.packets_per_round = 30;
+  std::optional<core::AdaptiveSession> session;
   std::vector<std::size_t> service(population, 0);
   RunningStats fer;
   constexpr std::size_t kEpoch = 5;  // rotation period in rounds
 
   for (std::size_t round = 0; round < rounds; ++round) {
-    if (rotate && round > 0 && round % kEpoch == 0) {
-      // Epoch rotation: fresh random group from the whole population.
-      rng.shuffle(order);
-      cell.set_active_group({order.begin(), order.begin() + 5});
+    // Every epoch starts a fresh session (Algorithm 1 re-equalizes, the §V-C
+    // round count restarts); rotation also re-draws the group from the
+    // whole population.
+    if (round % kEpoch == 0) {
+      if (rotate && round > 0) {
+        cell.set_active_group(core::random_group(population, 5, rng));
+      }
+      session.emplace(cell, session_cfg);
     }
-    cell.run_power_control({}, 20, rng);
-    const auto stats = cell.run_packets(30, rng);
-    fer.add(stats.frame_error_rate());
-    const auto& group = cell.active_group();
-    for (std::size_t slot = 0; slot < group.size(); ++slot) {
-      service[group[slot]] += stats.sent[slot];
-    }
-    auto next = selector.reselect(cell.population(), group, stats.ack_ratios(),
-                                  round % kEpoch, rng);
-    cell.set_active_group(std::move(next));
+    const auto entry = session->step(rng);
+    fer.add(entry.fer);
+    for (const auto idx : entry.group) service[idx] += session_cfg.packets_per_round;
   }
 
   PolicyStats out;

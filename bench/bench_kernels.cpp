@@ -43,6 +43,17 @@ void finish_rate(benchmark::State& state, std::int64_t items_per_iter) {
   set_rate_counters(state, 1);
 }
 
+/// One tag's window under continuous-tone excitation, no interferers.
+std::vector<std::complex<double>> synthesize(const rfsim::ChannelConfig& cc,
+                                             const rfsim::TagTransmission& tx,
+                                             Rng& rng) {
+  const rfsim::ContinuousTone tone;
+  rfsim::ChannelScratch scratch;
+  std::vector<std::complex<double>> iq;
+  rfsim::Channel(cc).receive_into(std::span(&tx, 1), tone, {}, rng, scratch, iq);
+  return iq;
+}
+
 void BM_Spread(benchmark::State& state) {
   const auto code = pn::make_code_set(pn::CodeFamily::kTwoNC, 10, 20)[0];
   std::vector<std::uint8_t> bits(static_cast<std::size_t>(state.range(0)));
@@ -96,27 +107,6 @@ void BM_SlidingComplexPeakSplit(benchmark::State& state) {
 }
 BENCHMARK(BM_SlidingComplexPeakSplit)->Arg(64)->Arg(256);
 
-void BM_ChannelSynthesis(benchmark::State& state) {
-  Rng rng(2);
-  rfsim::ChannelConfig cc;
-  cc.samples_per_chip = 4;
-  cc.chip_rate_hz = 32e6;
-  cc.noise_power_w = 1e-9;
-  const rfsim::Channel channel(cc);
-  const std::vector<std::uint8_t> chips(3584, 1);  // a 112-bit frame at L=32
-  std::vector<rfsim::TagTransmission> txs(static_cast<std::size_t>(state.range(0)));
-  for (auto& tx : txs) {
-    tx.chips = chips;
-    tx.amplitude = 1e-6;
-    tx.delay_chips = 8.0;
-  }
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(channel.receive(txs, rng));
-  }
-  finish_rate(state, static_cast<std::int64_t>(chips.size()) * state.range(0));
-}
-BENCHMARK(BM_ChannelSynthesis)->Arg(2)->Arg(10);
-
 /// Channel synthesis into caller-owned buffers — the batched pipeline's
 /// zero-allocation path (window, envelope and waveform capacity all reused).
 void BM_ChannelSynthesisScratch(benchmark::State& state) {
@@ -160,7 +150,7 @@ void BM_DecodeFrame(benchmark::State& state) {
   tx.chips = chips;
   tx.amplitude = 1.0;
   tx.delay_chips = 8.0;
-  const auto iq = rfsim::Channel(cc).receive(std::span(&tx, 1), rng);
+  const auto iq = synthesize(cc, tx, rng);
   const rx::Decoder decoder(codes[0], 8, 4);
   for (auto _ : state) {
     benchmark::DoNotOptimize(decoder.decode(iq, 32, 0.0));
@@ -270,7 +260,7 @@ void BM_StreamingRx(benchmark::State& state) {
   tx.amplitude = 1.0;
   tx.phase = rng.phase();
   tx.delay_chips = 64.0;
-  auto unit = rfsim::Channel(cc).receive(std::span(&tx, 1), rng);
+  auto unit = synthesize(cc, tx, rng);
   std::vector<std::complex<double>> gap(3000, {0.0, 0.0});
   rfsim::AwgnSource(1e-4).add_to(gap, rng);
   unit.insert(unit.end(), gap.begin(), gap.end());

@@ -1,6 +1,6 @@
 // Shared utilities for the experiment benches: trial-count/seed control via
-// environment variables (CBMA_TRIALS, CBMA_SEED), deterministic parallel
-// sweeps, and the SweepSpec builder every bench feeds into the
+// environment variables (CBMA_TRIALS, CBMA_SEED), deterministic per-point
+// seeds, and the SweepSpec builder every bench feeds into the
 // SweepRunner/RunRecorder experiment API so each run is reproducible from
 // its printed configuration and archived as BENCH_<name>.json.
 #pragma once
@@ -57,9 +57,6 @@ inline std::uint64_t base_seed() {
 inline std::uint64_t point_seed(std::size_t point_index) {
   return util::point_seed(base_seed(), point_index);
 }
-
-/// Thin alias: the deterministic sweep runner now lives in util/parallel.h.
-using util::parallel_for;
 
 /// Build this bench's SweepSpec with the shared trial/seed plumbing wired
 /// in. `trials_per_point` is what the bench actually runs per point (pass

@@ -19,9 +19,9 @@ int main() {
   core::SchemeRunConfig run;
   run.population = 20;
   run.group_size = 5;
-  run.packets_per_round = 40;
-  run.final_packets = 100;
-  run.selection_rounds = 6;
+  run.session.packets_per_round = 40;
+  run.session.final_packets = 100;
+  run.session.max_rounds = 6;
   run.room = rfsim::Room{2.5, 3.0};
 
   const std::size_t n_trials = bench::trials(50);

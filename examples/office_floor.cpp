@@ -2,8 +2,9 @@
 // concrete. An open-plan office with interior walls (obstacle shadowing),
 // rich multipath, a busy WiFi AP and Bluetooth peripherals; 16 asset tags
 // are deployed and the AdaptiveSession runs the paper's complete workflow —
-// power control each round, node selection when a member stays unhealthy —
-// until the concurrent group converges.
+// power control on the starting group, node selection when a member stays
+// unhealthy, power control again on each changed group — until the
+// concurrent group converges.
 #include <cstdio>
 #include <memory>
 

@@ -1,7 +1,5 @@
 #include "core/experiment.h"
 
-#include <algorithm>
-
 #include "util/expect.h"
 
 namespace cbma::core {
@@ -39,15 +37,7 @@ double run_scheme_trial(const SystemConfig& config, const SchemeRunConfig& run,
   auto deployment = rfsim::Deployment::paper_frame();
   deployment.place_random_tags(run.population, run.room, rng, run.min_separation_m);
   CbmaSystem system(config, deployment);
-
-  // Random initial group.
-  std::vector<std::size_t> population_indices(run.population);
-  for (std::size_t i = 0; i < run.population; ++i) population_indices[i] = i;
-  rng.shuffle(population_indices);
-  std::vector<std::size_t> group(population_indices.begin(),
-                                 population_indices.begin() +
-                                     static_cast<std::ptrdiff_t>(run.group_size));
-  system.set_active_group(group);
+  system.set_active_group(random_group(run.population, run.group_size, rng));
 
   // Uncontrolled starting state: every tag at an arbitrary impedance level
   // (see the Scheme enum's documentation).
@@ -57,45 +47,13 @@ double run_scheme_trial(const SystemConfig& config, const SchemeRunConfig& run,
                0, static_cast<int>(system.impedance_level_count()) - 1)));
   }
 
-  if (scheme == Scheme::kBaseline) {
-    return system.run_packets(run.final_packets, rng).frame_error_rate();
-  }
-
-  system.run_power_control(run.pc, run.packets_per_round, rng);
-
   if (scheme == Scheme::kPowerControlAndSelection) {
-    const mac::NodeSelector selector(run.ns, system.link_budget());
-    for (std::size_t round = 0; round < run.selection_rounds; ++round) {
-      const auto stats = system.run_packets(run.packets_per_round, rng);
-      const auto ratios = stats.ack_ratios();
-      const bool all_good = std::all_of(ratios.begin(), ratios.end(), [&](double r) {
-        return r >= run.ns.bad_ack_ratio;
-      });
-      if (all_good) break;
-      auto new_group = selector.reselect(system.population(), system.active_group(),
-                                         ratios, round, rng);
-      if (new_group == system.active_group()) continue;
-      system.set_active_group(std::move(new_group));
-      // Newly drafted tags start from the strongest level; re-run Algorithm 1
-      // so the refreshed group re-equalizes.
-      system.run_power_control(run.pc, run.packets_per_round, rng);
-    }
+    return AdaptiveSession(system, run.session).run(rng).final_fer;
   }
-
-  return system.run_packets(run.final_packets, rng).frame_error_rate();
-}
-
-std::vector<double> scheme_error_rates(const SystemConfig& config,
-                                       const SchemeRunConfig& run, Scheme scheme,
-                                       std::size_t trials, std::uint64_t seed) {
-  CBMA_REQUIRE(trials >= 1, "need at least one trial");
-  std::vector<double> out;
-  out.reserve(trials);
-  Rng seeder(seed);
-  for (std::size_t t = 0; t < trials; ++t) {
-    out.push_back(run_scheme_trial(config, run, scheme, seeder.engine()()));
+  if (scheme == Scheme::kPowerControl) {
+    system.run_power_control(run.session.pc, run.session.packets_per_round, rng);
   }
-  return out;
+  return system.run_packets(run.session.final_packets, rng).frame_error_rate();
 }
 
 }  // namespace cbma::core

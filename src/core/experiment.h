@@ -9,9 +9,8 @@
 #include <vector>
 
 #include "core/config.h"
+#include "core/session.h"
 #include "core/system.h"
-#include "mac/node_selection.h"
-#include "mac/power_control.h"
 
 namespace cbma::core {
 
@@ -39,25 +38,18 @@ std::string to_string(Scheme scheme);
 struct SchemeRunConfig {
   std::size_t population = 20;        ///< tags deployed in the room
   std::size_t group_size = 5;
-  std::size_t packets_per_round = 40; ///< per adaptation round
-  std::size_t selection_rounds = 6;   ///< max §V-C reselection rounds
-  std::size_t final_packets = 200;    ///< measurement after adaptation
   double min_separation_m = 0.05;
   rfsim::Room room{4.0, 6.0};         ///< the paper's office footprint
-  mac::PowerControlConfig pc{};
-  mac::NodeSelectionConfig ns{};
+  /// The adaptation: packets_per_round per Algorithm 1 / measurement round,
+  /// max_rounds §V-C reselection rounds, final_packets measured after.
+  SessionConfig session{.packets_per_round = 40, .max_rounds = 6, .final_packets = 200};
 };
 
 /// One macro-benchmark trial: deploy a random population, pick a random
 /// initial group, run the scheme's adaptation, and return the error rate
-/// of the final measurement batch.
+/// of the final measurement batch. kPowerControlAndSelection is one
+/// AdaptiveSession run.
 double run_scheme_trial(const SystemConfig& config, const SchemeRunConfig& run,
                         Scheme scheme, std::uint64_t seed);
-
-/// `trials` independent macro-benchmark error-rate samples (the Fig. 10
-/// CDF's underlying data).
-std::vector<double> scheme_error_rates(const SystemConfig& config,
-                                       const SchemeRunConfig& run, Scheme scheme,
-                                       std::size_t trials, std::uint64_t seed);
 
 }  // namespace cbma::core

@@ -1,7 +1,7 @@
 // CbmaSystem — the end-to-end cell: a population of deployed tags, the
-// excitation source, the channel and the receiver, plus the MAC control
-// loops (Algorithm 1 power control; §V-C node selection is layered on top
-// by core/experiment.h and the examples).
+// excitation source, the channel and the receiver, plus Algorithm 1 power
+// control. §V-C node selection is layered on top by core::AdaptiveSession
+// (core/session.h), the one driver of the combined control loop.
 //
 // The system distinguishes the *population* (every tag in the environment,
 // with a persistent impedance level each) from the *active group* (the

@@ -52,36 +52,6 @@ std::vector<double> mean_removed_template(const PnCode& code,
   return tmpl;
 }
 
-double correlate_at(std::span<const double> signal, std::span<const double> tmpl,
-                    std::size_t offset) {
-  if (offset + tmpl.size() > signal.size()) return 0.0;
-  double acc = 0.0;
-  const double* s = signal.data() + offset;
-  for (std::size_t i = 0; i < tmpl.size(); ++i) acc += s[i] * tmpl[i];
-  return acc;
-}
-
-double normalized_correlation_at(std::span<const double> signal,
-                                 std::span<const double> tmpl, std::size_t offset) {
-  if (offset + tmpl.size() > signal.size() || tmpl.empty()) return 0.0;
-  const double* s = signal.data() + offset;
-  double sum = 0.0;
-  for (std::size_t i = 0; i < tmpl.size(); ++i) sum += s[i];
-  const double mean = sum / static_cast<double>(tmpl.size());
-  double dot = 0.0;
-  double s_norm2 = 0.0;
-  double t_norm2 = 0.0;
-  for (std::size_t i = 0; i < tmpl.size(); ++i) {
-    const double sv = s[i] - mean;
-    dot += sv * tmpl[i];
-    s_norm2 += sv * sv;
-    t_norm2 += tmpl[i] * tmpl[i];
-  }
-  const double denom = std::sqrt(s_norm2 * t_norm2);
-  if (denom <= 0.0) return 0.0;
-  return dot / denom;
-}
-
 std::complex<double> complex_correlate_at(std::span<const std::complex<double>> signal,
                                           std::span<const double> tmpl,
                                           std::size_t offset) {
@@ -381,25 +351,6 @@ ComplexCorrelationPeak sliding_complex_peak_folded(
   const auto peak_corr = complex_correlate_folded_at(fold_re, fold_im, chip_tmpl,
                                                      samples_per_chip, best.offset);
   best.phase = std::atan2(peak_corr.imag(), peak_corr.real());
-  return best;
-}
-
-CorrelationPeak sliding_peak(std::span<const double> signal,
-                             std::span<const double> tmpl,
-                             std::size_t search_begin, std::size_t search_end) {
-  CBMA_REQUIRE(search_begin <= search_end, "search window inverted");
-  CorrelationPeak best;
-  best.value = -2.0;  // below any normalized correlation
-  const std::size_t end = std::min(search_end, signal.size());
-  for (std::size_t off = search_begin; off < end; ++off) {
-    if (off + tmpl.size() > signal.size()) break;
-    const double v = normalized_correlation_at(signal, tmpl, off);
-    if (v > best.value) {
-      best.value = v;
-      best.offset = off;
-    }
-  }
-  if (best.value < -1.5) best = CorrelationPeak{};  // nothing searched
   return best;
 }
 

@@ -5,10 +5,11 @@
 //  * code-vs-code correlations on binary chips (periodic / aperiodic), used
 //    to validate family properties (Gold's three-valued cross-correlation,
 //    2NC orthogonality);
-//  * real-signal-vs-template sliding correlation, used on the receiver's
-//    magnitude envelope. Templates are mean-removed so the unipolar OOK
-//    envelope and constant offsets from other users do not bias decisions
-//    (this is the "correlation-based detector" of §V-B).
+//  * complex-baseband-vs-template sliding correlation, used by the coherent
+//    receiver on the IQ window. Templates are mean-removed so the unipolar
+//    OOK chips and constant offsets from other users do not bias decisions
+//    (this is the "correlation-based detector" of §V-B); the magnitude of
+//    the complex correlation makes detection carrier-phase invariant.
 #pragma once
 
 #include <complex>
@@ -35,27 +36,6 @@ int peak_cross_correlation(const PnCode& a, const PnCode& b);
 /// mean, optionally repeated `samples_per_chip` times per chip.
 std::vector<double> mean_removed_template(const PnCode& code,
                                           std::size_t samples_per_chip = 1);
-
-/// Dot product of `signal` (from `offset`) against `tmpl`; returns 0 if the
-/// template does not fit.
-double correlate_at(std::span<const double> signal, std::span<const double> tmpl,
-                    std::size_t offset);
-
-/// Normalized correlation in [-1, 1]: correlate_at divided by the L2 norms
-/// of the template and the mean-removed signal window.
-double normalized_correlation_at(std::span<const double> signal,
-                                 std::span<const double> tmpl, std::size_t offset);
-
-struct CorrelationPeak {
-  std::size_t offset = 0;
-  double value = 0.0;  ///< normalized correlation at the peak
-};
-
-/// Slide `tmpl` over signal[search_begin, search_end) and return the offset
-/// with the largest normalized correlation.
-CorrelationPeak sliding_peak(std::span<const double> signal,
-                             std::span<const double> tmpl,
-                             std::size_t search_begin, std::size_t search_end);
 
 // --- complex-baseband correlation (coherent receiver path) ---
 

@@ -1,6 +1,7 @@
 #include "rx/frame_sync.h"
 
 #include <algorithm>
+#include <vector>
 
 #include "util/expect.h"
 #include "util/units.h"
@@ -85,20 +86,6 @@ std::optional<std::uint64_t> FrameSynchronizer::Stream::scan() {
     prefix_.release(cursor_ - w);
   }
   return std::nullopt;
-}
-
-std::vector<std::size_t> FrameSynchronizer::detect_all(std::span<const double> magnitude,
-                                                       std::size_t refractory) const {
-  std::vector<std::size_t> out;
-  std::size_t begin = 0;
-  while (true) {
-    const auto hit = detect(magnitude, begin);
-    if (!hit) break;
-    out.push_back(*hit);
-    begin = *hit + std::max<std::size_t>(1, refractory);
-    if (begin >= magnitude.size()) break;
-  }
-  return out;
 }
 
 }  // namespace cbma::rx

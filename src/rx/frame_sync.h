@@ -9,7 +9,6 @@
 #include <cstdint>
 #include <optional>
 #include <span>
-#include <vector>
 
 #include "util/ring_buffer.h"
 
@@ -35,11 +34,6 @@ class FrameSynchronizer {
   /// fires, or nullopt. `magnitude` is P(t) = √(I²+Q²).
   std::optional<std::size_t> detect(std::span<const double> magnitude,
                                     std::size_t begin = 0) const;
-
-  /// All trigger points, suppressing re-triggers within `refractory`
-  /// samples of a previous detection (one detection per frame).
-  std::vector<std::size_t> detect_all(std::span<const double> magnitude,
-                                      std::size_t refractory) const;
 
   /// Incremental spelling of detect() for the streaming receiver
   /// (DESIGN.md §9). push() extends the same power prefix sums detect()

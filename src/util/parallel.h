@@ -2,8 +2,7 @@
 // parallel_for, which spawns a fresh set of threads on every call that
 // claim indices one at a time from a single shared atomic counter (no
 // per-worker queues, no stealing), plus the per-point seed mixer that
-// keeps Monte-Carlo results independent of how the sweep is parallelized. Promoted from bench/common.h so every consumer of the
-// library can run paper-scale sweeps the same way.
+// keeps Monte-Carlo results independent of how the sweep is parallelized.
 //
 // parallel_for is templated on the callable (no std::function wrapper, so
 // the hot sweep path pays no type-erasure allocation) and doubles as the

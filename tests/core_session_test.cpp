@@ -94,6 +94,32 @@ TEST(AdaptiveSession, HopelessTagTriggersReselection) {
   EXPECT_LE(result.final_fer, 0.15);
 }
 
+TEST(AdaptiveSession, StepsReproduceTheRoundsOfRun) {
+  // run() is step() until a healthy round: a caller stepping by hand sees
+  // the same rounds (Algorithm 1 first, then the §V-C round count).
+  auto dep = healthy_population(3);
+  dep.add_tag({40.0, 60.0});
+  CbmaSystem by_run(fast_config(3), dep);
+  CbmaSystem by_step(fast_config(3), dep);
+  by_run.set_active_group({0, 1, 3});
+  by_step.set_active_group({0, 1, 3});
+
+  Rng run_rng(3);
+  const auto result = AdaptiveSession(by_run, quick_session()).run(run_rng);
+  Rng step_rng(3);
+  AdaptiveSession session(by_step, quick_session());
+  for (const auto& expected : result.history) {
+    const auto round = session.step(step_rng);
+    EXPECT_EQ(round.round, expected.round);
+    EXPECT_EQ(round.group, expected.group);
+    EXPECT_DOUBLE_EQ(round.fer, expected.fer);
+    EXPECT_EQ(round.healthy, expected.healthy);
+    EXPECT_EQ(round.reselected, expected.reselected);
+    EXPECT_EQ(round.pc_adjustments, expected.pc_adjustments);
+  }
+  EXPECT_EQ(by_step.active_group(), by_run.active_group());
+}
+
 TEST(AdaptiveSession, NonConvergenceReportsMaxRounds) {
   // Every population member is unreachable: nothing to converge to.
   auto dep = rfsim::Deployment::paper_frame();

@@ -8,6 +8,7 @@
 
 #include "pn/msequence.h"
 #include "util/rng.h"
+#include "util/units.h"
 
 namespace cbma::pn {
 namespace {
@@ -56,15 +57,15 @@ TEST(MeanRemovedTemplate, RejectsZeroUpsampling) {
 
 TEST(CorrelateAt, ExactMatchGivesEnergy) {
   const std::vector<double> tmpl{1.0, -1.0, 1.0};
-  const std::vector<double> signal{0.0, 1.0, -1.0, 1.0, 0.0};
-  EXPECT_DOUBLE_EQ(correlate_at(signal, tmpl, 1), 3.0);
+  const std::vector<std::complex<double>> signal{0.0, 1.0, -1.0, 1.0, 0.0};
+  EXPECT_EQ(complex_correlate_at(signal, tmpl, 1), std::complex<double>(3.0, 0.0));
 }
 
 TEST(CorrelateAt, OutOfRangeIsZero) {
   const std::vector<double> tmpl{1.0, 1.0};
-  const std::vector<double> signal{1.0};
-  EXPECT_DOUBLE_EQ(correlate_at(signal, tmpl, 0), 0.0);
-  EXPECT_DOUBLE_EQ(correlate_at(signal, {}, 2), 0.0);
+  const std::vector<std::complex<double>> signal{1.0};
+  EXPECT_EQ(complex_correlate_at(signal, tmpl, 0), std::complex<double>(0.0, 0.0));
+  EXPECT_EQ(complex_correlate_at(signal, {}, 2), std::complex<double>(0.0, 0.0));
 }
 
 TEST(NormalizedCorrelation, PerfectMatchIsOne) {
@@ -72,46 +73,23 @@ TEST(NormalizedCorrelation, PerfectMatchIsOne) {
   const auto tmpl = mean_removed_template(code);
   // Signal = scaled unipolar chips + constant offset; the mean-removed
   // normalized correlation must still be 1.
-  std::vector<double> signal;
+  std::vector<std::complex<double>> signal;
   signal.reserve(code.length());
-  for (const auto c : code.chips()) signal.push_back(5.0 * c + 3.0);
-  EXPECT_NEAR(normalized_correlation_at(signal, tmpl, 0), 1.0, 1e-9);
-}
-
-TEST(NormalizedCorrelation, InvertedMatchIsMinusOne) {
-  const auto code = msequence_code(5);
-  const auto tmpl = mean_removed_template(code);
-  std::vector<double> signal;
-  for (const auto c : code.chips()) signal.push_back(c ? -1.0 : 1.0);
-  EXPECT_NEAR(normalized_correlation_at(signal, tmpl, 0), -1.0, 1e-9);
+  for (const auto c : code.chips()) signal.emplace_back(5.0 * c + 3.0, -2.0);
+  EXPECT_NEAR(normalized_complex_correlation_at(signal, tmpl, 0), 1.0, 1e-9);
 }
 
 TEST(NormalizedCorrelation, FlatSignalIsZero) {
   const auto code = msequence_code(5);
   const auto tmpl = mean_removed_template(code);
-  const std::vector<double> signal(code.length(), 7.0);
-  EXPECT_DOUBLE_EQ(normalized_correlation_at(signal, tmpl, 0), 0.0);
-}
-
-TEST(SlidingPeak, FindsEmbeddedCode) {
-  const auto code = msequence_code(5);
-  const auto tmpl = mean_removed_template(code, 2);
-  std::vector<double> signal(200, 0.0);
-  const std::size_t true_offset = 57;
-  for (std::size_t i = 0; i < code.length(); ++i) {
-    for (std::size_t s = 0; s < 2; ++s) {
-      signal[true_offset + 2 * i + s] = code.chip(i) ? 2.0 : 0.0;
-    }
-  }
-  const auto peak = sliding_peak(signal, tmpl, 0, 120);
-  EXPECT_EQ(peak.offset, true_offset);
-  EXPECT_NEAR(peak.value, 1.0, 1e-9);
+  const std::vector<std::complex<double>> signal(code.length(), {7.0, 1.0});
+  EXPECT_DOUBLE_EQ(normalized_complex_correlation_at(signal, tmpl, 0), 0.0);
 }
 
 TEST(SlidingPeak, RejectsInvertedWindow) {
-  const std::vector<double> signal(10, 0.0);
+  const std::vector<std::complex<double>> signal(10, {0.0, 0.0});
   const std::vector<double> tmpl{1.0};
-  EXPECT_THROW(sliding_peak(signal, tmpl, 5, 2), std::invalid_argument);
+  EXPECT_THROW(sliding_complex_peak(signal, tmpl, 5, 2), std::invalid_argument);
 }
 
 TEST(ComplexCorrelateAt, PhaseRecovered) {
@@ -129,7 +107,8 @@ TEST(ComplexCorrelateAt, PhaseRecovered) {
 TEST(NormalizedComplexCorrelation, PhaseInvariantPerfectMatch) {
   const auto code = msequence_code(5);
   const auto tmpl = mean_removed_template(code);
-  for (const double phase : {0.0, 0.7, 2.9, -1.3}) {
+  // Phase π is the inverted code.
+  for (const double phase : {0.0, 0.7, 2.9, units::kPi, -1.3}) {
     std::vector<std::complex<double>> signal;
     for (const auto c : code.chips()) {
       signal.push_back(std::polar(3.0, phase) * static_cast<double>(c));

@@ -6,6 +6,7 @@
 #include <stdexcept>
 
 #include "util/units.h"
+#include "synthesize.h"
 
 namespace cbma::rfsim {
 namespace {
@@ -44,7 +45,7 @@ TEST(Channel, WindowLengthCoversBurstPlusPad) {
   tx.chips = chips;
   tx.amplitude = 1.0;
   tx.delay_chips = 3.0;
-  const auto iq = ch.receive(std::span(&tx, 1), rng);
+  const auto iq = test::synthesize(ch, std::span(&tx, 1), rng);
   // (3 + 4 + 2 pad) chips × 4 samples.
   EXPECT_EQ(iq.size(), static_cast<std::size_t>((3 + 4 + 2) * 4));
 }
@@ -58,7 +59,7 @@ TEST(Channel, CleanSingleTagReproducesChips) {
   tx.amplitude = 2.0;
   tx.phase = 0.7;
   tx.delay_chips = 0.0;
-  const auto iq = ch.receive(std::span(&tx, 1), rng);
+  const auto iq = test::synthesize(ch, std::span(&tx, 1), rng);
   for (std::size_t c = 0; c < chips.size(); ++c) {
     for (std::size_t s = 0; s < 4; ++s) {
       const double expected = chips[c] ? 2.0 : 0.0;
@@ -76,7 +77,7 @@ TEST(Channel, PhaseAppearsInIq) {
   tx.chips = chips;
   tx.amplitude = 1.0;
   tx.phase = 1.2;
-  const auto iq = ch.receive(std::span(&tx, 1), rng);
+  const auto iq = test::synthesize(ch, std::span(&tx, 1), rng);
   EXPECT_NEAR(std::arg(iq[1]), 1.2, 1e-9);
 }
 
@@ -88,7 +89,7 @@ TEST(Channel, IntegerDelayShiftsWaveform) {
   tx.chips = chips;
   tx.amplitude = 1.0;
   tx.delay_chips = 2.0;
-  const auto iq = ch.receive(std::span(&tx, 1), rng);
+  const auto iq = test::synthesize(ch, std::span(&tx, 1), rng);
   for (std::size_t s = 0; s < 8; ++s) EXPECT_NEAR(std::abs(iq[s]), 0.0, 1e-12);
   for (std::size_t s = 8; s < 16; ++s) EXPECT_NEAR(std::abs(iq[s]), 1.0, 1e-9);
 }
@@ -101,7 +102,7 @@ TEST(Channel, FractionalDelayInterpolates) {
   tx.chips = chips;
   tx.amplitude = 1.0;
   tx.delay_chips = 0.125;  // half a sample at 4 samples/chip
-  const auto iq = ch.receive(std::span(&tx, 1), rng);
+  const auto iq = test::synthesize(ch, std::span(&tx, 1), rng);
   // First sample of the edge is interpolated: 0.5 amplitude.
   EXPECT_NEAR(std::abs(iq[0]), 0.5, 1e-9);
   EXPECT_NEAR(std::abs(iq[1]), 1.0, 1e-9);
@@ -114,7 +115,7 @@ TEST(Channel, RejectsNegativeDelay) {
   TagTransmission tx;
   tx.chips = chips;
   tx.delay_chips = -1.0;
-  EXPECT_THROW(ch.receive(std::span(&tx, 1), rng), std::invalid_argument);
+  EXPECT_THROW(test::synthesize(ch, std::span(&tx, 1), rng), std::invalid_argument);
 }
 
 TEST(Channel, TwoTagsSuperpose) {
@@ -129,7 +130,7 @@ TEST(Channel, TwoTagsSuperpose) {
   b.amplitude = 1.0;
   b.phase = 0.0;
   const std::vector<TagTransmission> txs{a, b};
-  const auto iq = ch.receive(txs, rng);
+  const auto iq = test::synthesize(ch, txs, rng);
   EXPECT_NEAR(iq[0].real(), 2.0, 1e-9);  // coherent sum
 }
 
@@ -145,7 +146,7 @@ TEST(Channel, OppositePhasesCancel) {
   b.amplitude = 1.0;
   b.phase = units::kPi;
   const std::vector<TagTransmission> txs{a, b};
-  const auto iq = ch.receive(txs, rng);
+  const auto iq = test::synthesize(ch, txs, rng);
   EXPECT_NEAR(std::abs(iq[0]), 0.0, 1e-9);
 }
 
@@ -159,7 +160,7 @@ TEST(Channel, FrequencyOffsetRotatesPhase) {
   tx.amplitude = 1.0;
   tx.phase = 0.0;
   tx.freq_offset_hz = 1000.0;
-  const auto iq = ch.receive(std::span(&tx, 1), rng);
+  const auto iq = test::synthesize(ch, std::span(&tx, 1), rng);
   // After k samples the phase must be 2π·f·k/fs.
   const std::size_t k = 200;
   const double want = 2.0 * units::kPi * 1000.0 * static_cast<double>(k) /
@@ -178,7 +179,7 @@ TEST(Channel, NoiseRaisesFloor) {
   TagTransmission tx;
   tx.chips = chips;
   tx.amplitude = 1.0;
-  const auto iq = ch.receive(std::span(&tx, 1), rng);
+  const auto iq = test::synthesize(ch, std::span(&tx, 1), rng);
   double p = 0.0;
   for (const auto& s : iq) p += std::norm(s);
   p /= static_cast<double>(iq.size());
@@ -197,26 +198,18 @@ TEST(Channel, MultipathAddsEchoEnergy) {
   TagTransmission tx;
   tx.chips = chips;
   tx.amplitude = 1.0;
-  const auto a = with.receive(std::span(&tx, 1), r1);
-  const auto b = without.receive(std::span(&tx, 1), r2);
+  const auto a = test::synthesize(with, std::span(&tx, 1), r1);
+  const auto b = test::synthesize(without, std::span(&tx, 1), r2);
   double pa = 0.0, pb = 0.0;
   for (const auto& s : a) pa += std::norm(s);
   for (const auto& s : b) pb += std::norm(s);
   EXPECT_NE(pa, pb);  // echoes change the window energy
 }
 
-TEST(Channel, MagnitudeHelper) {
-  const std::vector<std::complex<double>> iq{{3.0, 4.0}, {0.0, -2.0}};
-  const auto mag = Channel::magnitude(iq);
-  ASSERT_EQ(mag.size(), 2u);
-  EXPECT_DOUBLE_EQ(mag[0], 5.0);
-  EXPECT_DOUBLE_EQ(mag[1], 2.0);
-}
-
 TEST(Channel, EmptyTagsGiveEmptyPaddedWindow) {
   const Channel ch(quiet_config());
   Rng rng(12);
-  const auto iq = ch.receive({}, rng);
+  const auto iq = test::synthesize(ch, {}, rng);
   EXPECT_EQ(iq.size(), static_cast<std::size_t>(2 * 4));  // tail pad only
 }
 

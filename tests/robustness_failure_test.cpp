@@ -18,6 +18,7 @@
 #include "rx/decoder.h"
 #include "rx/receiver.h"
 #include "util/rng.h"
+#include "synthesize.h"
 
 namespace cbma {
 namespace {
@@ -59,7 +60,7 @@ TEST(FailurePath, DecoderOnTruncatedRealFrameReportsTruncated) {
   tx.amplitude = 1.0;
   tx.delay_chips = 8.0;
   Rng rng(1);
-  const auto iq = rfsim::Channel(ch_cfg).receive(std::span(&tx, 1), rng);
+  const auto iq = test::synthesize(rfsim::Channel(ch_cfg), std::span(&tx, 1), rng);
 
   const rx::Decoder decoder(codes[0], kPreambleBits, kSpc);
   const std::size_t preamble_offset = 8 * kSpc;

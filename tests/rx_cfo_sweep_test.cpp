@@ -8,6 +8,7 @@
 #include "rfsim/channel.h"
 #include "rx/receiver.h"
 #include "util/rng.h"
+#include "synthesize.h"
 
 namespace cbma::rx {
 namespace {
@@ -40,7 +41,7 @@ std::vector<std::complex<double>> one_tag_window(const pn::PnCode& code,
   cc.samples_per_chip = kSpc;
   cc.chip_rate_hz = 32e6;
   cc.noise_power_w = 1e-4;
-  return rfsim::Channel(cc).receive(std::span(&tx, 1), rng);
+  return test::synthesize(rfsim::Channel(cc), std::span(&tx, 1), rng);
 }
 
 class CfoSweepTest : public ::testing::TestWithParam<double> {};

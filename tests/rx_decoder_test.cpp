@@ -7,6 +7,7 @@
 #include "phy/tag.h"
 #include "rfsim/channel.h"
 #include "util/rng.h"
+#include "synthesize.h"
 
 namespace cbma::rx {
 namespace {
@@ -44,7 +45,7 @@ std::vector<std::complex<double>> transmit(const pn::PnCode& code,
   tx.phase = phase;
   tx.delay_chips = kLeadChips;
   tx.freq_offset_hz = cfo;
-  return channel(noise).receive(std::span(&tx, 1), rng);
+  return test::synthesize(channel(noise), std::span(&tx, 1), rng);
 }
 
 std::size_t preamble_offset() {

@@ -19,6 +19,7 @@
 #include "rfsim/channel.h"
 #include "rx/user_detect.h"
 #include "util/rng.h"
+#include "synthesize.h"
 
 namespace cbma::rx {
 namespace {
@@ -183,7 +184,7 @@ TEST(CorrelationEngine, DetectorEquivalenceSweep) {
             tx.freq_offset_hz = cfo_hz;
             txs.push_back(tx);
           }
-          const auto iq = channel.receive(txs, rng);
+          const auto iq = test::synthesize(channel, txs, rng);
           std::vector<double> re, im;
           pn::split_iq(iq, re, im);
           const DetectionInput input{re, im, 16 * spc};

@@ -84,23 +84,19 @@ TEST(FrameSync, BeginParameterSkipsEarlierEnergy) {
   EXPECT_LE(*second, 301u);
 }
 
-TEST(FrameSync, DetectAllFindsMultipleFrames) {
+TEST(FrameSync, DetectFromBeginFindsEachFrame) {
   const FrameSynchronizer sync(small_config());
   std::vector<double> sig(600, 0.01);
   for (std::size_t i = 100; i < 140; ++i) sig[i] = 1.0;
   for (std::size_t i = 400; i < 440; ++i) sig[i] = 1.0;
-  const auto hits = sync.detect_all(sig, 100);
-  ASSERT_EQ(hits.size(), 2u);
-  EXPECT_NEAR(static_cast<double>(hits[0]), 100.0, 5.0);
-  EXPECT_NEAR(static_cast<double>(hits[1]), 400.0, 5.0);
-}
-
-TEST(FrameSync, RefractorySuppressesRetriggers) {
-  const FrameSynchronizer sync(small_config());
-  std::vector<double> sig(400, 0.01);
-  for (std::size_t i = 100; i < 160; ++i) sig[i] = 1.0 + 0.2 * (i % 3);
-  const auto hits = sync.detect_all(sig, 300);
-  EXPECT_EQ(hits.size(), 1u);
+  const auto first = sync.detect(sig);
+  ASSERT_TRUE(first.has_value());
+  EXPECT_NEAR(static_cast<double>(*first), 100.0, 5.0);
+  // Re-arm past the first frame, as the receiver does after each frame.
+  const auto second = sync.detect(sig, *first + 100);
+  ASSERT_TRUE(second.has_value());
+  EXPECT_NEAR(static_cast<double>(*second), 400.0, 5.0);
+  EXPECT_FALSE(sync.detect(sig, *second + 100).has_value());
 }
 
 TEST(FrameSync, RobustToGaussianNoiseFloor) {

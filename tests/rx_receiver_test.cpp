@@ -7,6 +7,7 @@
 #include "phy/tag.h"
 #include "rfsim/channel.h"
 #include "util/rng.h"
+#include "synthesize.h"
 
 namespace cbma::rx {
 namespace {
@@ -61,7 +62,7 @@ std::vector<std::complex<double>> make_window(const std::vector<pn::PnCode>& cod
     tx.delay_chips = kLeadChips + active[k].delay_chips;
     txs.push_back(tx);
   }
-  return channel(noise).receive(txs, rng);
+  return test::synthesize(channel(noise), txs, rng);
 }
 
 TEST(Receiver, RejectsEmptyGroup) {
@@ -206,7 +207,7 @@ TEST(Receiver, GoldCodeGroupWorksToo) {
   cc.samples_per_chip = kSpc;
   cc.chip_rate_hz = 31e6;
   cc.noise_power_w = 1e-4;
-  const auto iq = rfsim::Channel(cc).receive(std::span(&tx, 1), rng);
+  const auto iq = test::synthesize(rfsim::Channel(cc), std::span(&tx, 1), rng);
   const auto report = rx.process_iq(iq);
   ASSERT_EQ(report.decoded_count(), 1u);
   EXPECT_TRUE(report.ack.contains(1));

@@ -9,6 +9,7 @@
 #include "rx/user_detect.h"
 #include "util/rng.h"
 #include "util/units.h"
+#include "synthesize.h"
 
 namespace cbma::rx {
 namespace {
@@ -62,7 +63,7 @@ std::vector<std::complex<double>> crowd(const std::vector<pn::PnCode>& codes,
     tx.delay_chips = kLead + rng.uniform(0.0, 1.0);
     txs.push_back(tx);
   }
-  return quiet_channel(noise).receive(txs, rng);
+  return test::synthesize(quiet_channel(noise), txs, rng);
 }
 
 std::size_t correct_detections(const UserDetector& det,
@@ -138,7 +139,7 @@ TEST(SicDetection, NearFarWeakUserRecoveredByCancellation) {
     txs[1].amplitude = 0.25;  // 12 dB down
     txs[1].phase = rng.phase();
     txs[1].delay_chips = kLead + 0.5;
-    const auto iq = quiet_channel(1e-6).receive(txs, rng);
+    const auto iq = test::synthesize(quiet_channel(1e-6), txs, rng);
     for (const auto& h : detect_iq(det, iq, static_cast<std::size_t>(kLead) * kSpc)) {
       if (h.tag_index == 1) ++weak_found;
     }
@@ -190,7 +191,7 @@ TEST(SicDetection, CancellationKeepsPhaseEstimateHonest) {
   txs[1].amplitude = 0.5;
   txs[1].phase = -1.1;
   txs[1].delay_chips = kLead + 0.75;
-  const auto iq = quiet_channel(1e-8).receive(txs, rng);
+  const auto iq = test::synthesize(quiet_channel(1e-8), txs, rng);
 
   const auto hits = detect_iq(det, iq, static_cast<std::size_t>(kLead) * kSpc);
   ASSERT_EQ(hits.size(), 2u);

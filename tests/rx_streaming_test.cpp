@@ -19,6 +19,7 @@
 #include "rx/frame_sync.h"
 #include "util/rng.h"
 #include "util/obs.h"
+#include "synthesize.h"
 
 namespace cbma::rx {
 namespace {
@@ -75,7 +76,7 @@ std::vector<std::complex<double>> make_window(const std::vector<pn::PnCode>& cod
     tx.delay_chips = kLeadChips + active[k].delay_chips;
     txs.push_back(tx);
   }
-  return channel(noise).receive(txs, rng);
+  return test::synthesize(channel(noise), txs, rng);
 }
 
 std::map<std::string, std::uint64_t> counter_map() {

@@ -8,6 +8,7 @@
 #include "phy/tag.h"
 #include "pn/code.h"
 #include "rfsim/channel.h"
+#include "synthesize.h"
 
 namespace cbma::rx {
 namespace {
@@ -66,7 +67,7 @@ std::vector<std::complex<double>> synthesize(
     tx.delay_chips = 16.0 + delay;
     txs.push_back(tx);
   }
-  return quiet_channel().receive(txs, rng);
+  return test::synthesize(quiet_channel(), txs, rng);
 }
 
 TEST(UserDetector, RejectsBadConfig) {
@@ -118,7 +119,7 @@ TEST(UserDetector, RecoversCarrierPhase) {
   tx.amplitude = 1.0;
   tx.phase = 0.8;
   tx.delay_chips = 16.0;
-  const auto iq = quiet_channel().receive(std::span(&tx, 1), rng);
+  const auto iq = test::synthesize(quiet_channel(), std::span(&tx, 1), rng);
   const UserDetector det(UserDetectConfig{}, codes, kPreambleBits, kSpc);
   const auto hit = det.probe(iq, 16 * kSpc, 0);
   EXPECT_NEAR(hit.phase, 0.8, 0.05);
@@ -212,7 +213,7 @@ TEST(UserDetector, GoldCodesAlsoDetect) {
   tx.amplitude = 1.0;
   tx.phase = rng.phase();
   tx.delay_chips = 16.0;
-  const auto iq = quiet_channel().receive(std::span(&tx, 1), rng);
+  const auto iq = test::synthesize(quiet_channel(), std::span(&tx, 1), rng);
   const UserDetector det(UserDetectConfig{}, codes, kPreambleBits, kSpc);
   const auto hits = detect_iq(det, iq, 16 * kSpc);
   ASSERT_EQ(hits.size(), 1u);

@@ -15,8 +15,10 @@ google-benchmark document and the baseline, and fails when any is
 slower than baseline * (1 + tolerance). The default tolerance is
 deliberately generous (±30 %): shared CI runners are noisy, and the gate
 exists to catch real regressions (an accidental O(n²), a debug build, a
-hot-path allocation) loudly, not 5 % jitter silently. Benchmarks present
-on only one side are reported but never fatal, so adding or retiring a
+hot-path allocation) loudly, not 5 % jitter silently. A baseline row
+missing from the run fails the gate, so a retired or renamed benchmark
+cannot drop out of it unnoticed: remove its row from the baseline in the
+same change. A run row without a baseline is only reported, so a new
 benchmark does not break CI before the baseline is refreshed.
 
 A speed-up beyond the same tolerance prints a note suggesting a baseline
@@ -308,13 +310,13 @@ def main() -> None:
              "generate it with --update")
 
     regressions = []
+    missing = []
     checked = 0
     for section, current in sections.items():
         baseline = baseline_doc.get(section, {})
         for name in sorted(baseline):
             if name not in current:
-                print(f"check_perf_regression: note: '{name}' in baseline "
-                      "but not in this run (filtered out or retired?)")
+                missing.append((section, name))
                 continue
             checked += 1
             base, now = baseline[name], current[name]
@@ -331,12 +333,17 @@ def main() -> None:
             print(f"check_perf_regression: note: '{name}' has no {section} "
                   "baseline — refresh with --update to start gating it")
 
-    if regressions:
-        for section, name, base, now, ratio in regressions:
-            print(f"check_perf_regression: FAIL: {name} regressed "
-                  f"{base:.1f} -> {now:.1f} {section} "
-                  f"({ratio:.2f}x > {1.0 + tolerance:.2f}x allowed)",
-                  file=sys.stderr)
+    for section, name in missing:
+        print(f"check_perf_regression: FAIL: '{name}' has a {section} "
+              "baseline but is missing from this run (filtered out, renamed "
+              "or retired? remove retired rows from the baseline)",
+              file=sys.stderr)
+    for section, name, base, now, ratio in regressions:
+        print(f"check_perf_regression: FAIL: {name} regressed "
+              f"{base:.1f} -> {now:.1f} {section} "
+              f"({ratio:.2f}x > {1.0 + tolerance:.2f}x allowed)",
+              file=sys.stderr)
+    if missing or regressions:
         sys.exit(1)
     print(f"check_perf_regression: {checked} baselines checked, "
           f"no regression beyond {tolerance:.0%}")
