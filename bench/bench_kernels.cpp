@@ -11,6 +11,7 @@
 #include <benchmark/benchmark.h>
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/system.h"
@@ -27,9 +28,11 @@ namespace {
 
 using namespace cbma;
 
-/// Attach a "ns_per_packet" counter: wall nanoseconds per processed item,
-/// the figure DESIGN.md §4.7 quotes (items = packets for the end-to-end
-/// benches, chips/lags for the kernels).
+/// Attach a "ns_per_packet" counter: wall nanoseconds per `items_per_iter`
+/// items. Every caller passes 1, so the counter is nanoseconds per benchmark
+/// iteration — one packet for the end-to-end benches, one whole call (a
+/// spread of Arg bits, a window synthesis, a peak batch) for the kernels —
+/// the figure DESIGN.md §4.7 quotes and tools/perf_baseline.json records.
 void set_rate_counters(benchmark::State& state, std::int64_t items_per_iter) {
   state.counters["ns_per_packet"] = benchmark::Counter(
       static_cast<double>(items_per_iter) * 1e-9,
@@ -293,20 +296,23 @@ void BM_StreamingRx(benchmark::State& state) {
 }
 BENCHMARK(BM_StreamingRx)->Arg(1)->Arg(10);
 
-// --- detection correlation engines (DESIGN.md §8) --------------------------
+// --- detection peak search (DESIGN.md §8) ----------------------------------
 //
-// One batched peaks() call — every code of the family over one anchor
+// One batched peak search — every code of the family over one anchor
 // window — per iteration, the unit UserDetector pays once per detection
-// round. The three registrations share a (K codes, L chips/bit, W lags)
-// grid so tools/check_perf_regression.py --crossover can reconstruct the
-// naive-vs-FFT crossover curves and verify the auto engine's cost model
-// picks the faster side wherever the gap is decisive. ns_per_packet here is
-// ns per peaks() batch.
+// round. Naive and Fft force one path (naive_peaks / fft_peaks); Auto runs
+// peaks(), the size-picked path the detector uses. The three registrations
+// share a (K codes, L chips/bit, W lags) grid so
+// tools/check_perf_regression.py --crossover can reconstruct the
+// naive-vs-FFT crossover curves and verify the cost model picks the faster
+// side wherever the gap is decisive. ns_per_packet here is ns per batch.
 
 constexpr std::size_t kDetectSpc = 4;
 constexpr std::size_t kDetectPreambleBits = 8;
 
-void run_detect_peaks(benchmark::State& state, rx::DetectEngine kind) {
+enum class PeakPath { kNaive, kFft, kSizePicked };
+
+void run_detect_peaks(benchmark::State& state, PeakPath path) {
   const auto n_codes = static_cast<std::size_t>(state.range(0));
   const auto code_len = static_cast<std::size_t>(state.range(1));
   const auto lags = static_cast<std::size_t>(state.range(2));
@@ -326,27 +332,37 @@ void run_detect_peaks(benchmark::State& state, rx::DetectEngine kind) {
   std::vector<double> fold_re, fold_im;
   pn::fold_chip_sums(re, kDetectSpc, fold_re);
   pn::fold_chip_sums(im, kDetectSpc, fold_im);
-  const auto engine = rx::make_correlation_engine(kind, tmpls, kDetectSpc, lags);
-  const auto scratch = engine->make_scratch();
+  const rx::PeakSearch search(std::move(tmpls), kDetectSpc, lags);
+  rx::PeakSearch::Scratch scratch;
   std::vector<std::size_t> code_idx(n_codes);
   for (std::size_t i = 0; i < n_codes; ++i) code_idx[i] = i;
   std::vector<pn::ComplexCorrelationPeak> peaks(n_codes);
   const rx::CorrelationWindow window{re, im, fold_re, fold_im, kDetectSpc};
   for (auto _ : state) {
-    engine->peaks(window, code_idx, 0, lags, peaks, *scratch);
+    switch (path) {
+      case PeakPath::kNaive:
+        search.naive_peaks(window, code_idx, 0, lags, peaks);
+        break;
+      case PeakPath::kFft:
+        search.fft_peaks(window, code_idx, 0, lags, peaks, scratch);
+        break;
+      case PeakPath::kSizePicked:
+        search.peaks(window, code_idx, 0, lags, peaks, scratch);
+        break;
+    }
     benchmark::DoNotOptimize(peaks.data());
   }
   finish_rate(state, 1);
 }
 
 void BM_DetectPeaksNaive(benchmark::State& state) {
-  run_detect_peaks(state, rx::DetectEngine::kNaive);
+  run_detect_peaks(state, PeakPath::kNaive);
 }
 void BM_DetectPeaksFft(benchmark::State& state) {
-  run_detect_peaks(state, rx::DetectEngine::kFft);
+  run_detect_peaks(state, PeakPath::kFft);
 }
 void BM_DetectPeaksAuto(benchmark::State& state) {
-  run_detect_peaks(state, rx::DetectEngine::kAuto);
+  run_detect_peaks(state, PeakPath::kSizePicked);
 }
 
 void detect_peaks_grid(benchmark::internal::Benchmark* b) {

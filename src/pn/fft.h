@@ -1,21 +1,21 @@
 // Iterative radix-2 FFT on split re/im arrays — the transform core of the
-// receiver's FFT correlation engine (rx/correlation_engine.h, DESIGN.md §8).
+// detector's FFT peak search path (rx/correlation_engine.h, DESIGN.md §8).
 //
 // Design constraints, in order:
 //  * split-array layout (separate re/im doubles) so the butterflies stream
 //    the same contiguous buffers every other hot kernel in the repo uses —
-//    no std::complex interleaving, no layout conversion at the engine
+//    no std::complex interleaving, no layout conversion at the peak search
 //    boundary;
 //  * all plan state (bit-reversal table, per-stage twiddles) precomputed at
 //    construction, so transform() on a warm plan performs zero allocations
-//    — the property the detection engine needs to keep UserDetector::detect
-//    allocation-free in steady state;
+//    — the property the peak search needs to stay allocation-free once its
+//    scratch has grown;
 //  * deterministic: no runtime trigonometry beyond construction, so two
 //    plans of the same size produce bit-identical transforms on every
 //    machine/ISA (the twiddles are computed once, scalar, at plan time).
 //
 // This is deliberately a plain power-of-two radix-2 kernel, not a FFTW
-// clone: correlation sizes are chosen by the engine (which rounds up to a
+// clone: correlation sizes are chosen by the peak search (which rounds up to a
 // power of two anyway), and the simple kernel keeps the dual-path
 // equivalence bound easy to reason about (§8's tolerance budget).
 #pragma once

@@ -48,7 +48,7 @@ void fold_sums(const double* x, std::size_t count, std::size_t spc, double* out)
 
 /// Elementwise complex multiply-accumulate on split arrays:
 ///   acc[i] += a[i] * b[i]  (complex), i in [0, n)
-/// — the frequency-domain template multiply of the FFT correlation engine
+/// — the frequency-domain template multiply of the FFT peak search path
 /// (the conjugation lives in the precomputed template spectra).
 void cmul_acc(const double* a_re, const double* a_im, const double* b_re,
               const double* b_im, double* acc_re, double* acc_im, std::size_t n);

@@ -14,15 +14,13 @@
 // peak is regularly beaten by the *sum* of the other users' correlation
 // sidelobes at a nearby lag once several tags collide.
 //
-// The batched peak search itself runs on a pluggable CorrelationEngine
-// (DESIGN.md §8): naive sliding dots, an overlap-save FFT fast path sharing
-// forward transforms across all codes, or a cost-model auto pick — selected
-// via UserDetectConfig::engine.
+// The batched peak search itself runs on rx::PeakSearch (DESIGN.md §8):
+// naive sliding dots or an overlap-save FFT path sharing forward transforms
+// across all codes, picked per batch from its size.
 #pragma once
 
 #include <complex>
 #include <cstddef>
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -55,11 +53,6 @@ struct UserDetectConfig {
   /// §4.4). Disable only for ablation studies: without it the sum of other
   /// users' sidelobes regularly beats a weak user's aligned peak.
   bool enable_sic = true;
-  /// Which correlation engine runs the batched peak search (DESIGN.md §8.2).
-  /// kNaive is the bit-exact reference and the default; kFft shares forward
-  /// transforms across all codes (equivalent up to the §8.3 tolerance);
-  /// kAuto picks per call from the crossover cost model.
-  DetectEngine engine = DetectEngine::kNaive;
 };
 
 struct DetectedUser {
@@ -86,17 +79,18 @@ struct DetectionInput {
 class UserDetector {
  public:
   /// Reusable successive-cancellation buffers (the residual copy of the
-  /// window, its per-chip folded sums, the per-round engine batch, and the
-  /// engine's own work buffers); sized once per window length and reused
-  /// across packets — detect() is allocation-free in steady state.
+  /// window, its per-chip folded sums, the per-round peak batch, and the
+  /// peak search's own work buffers); sized once per window length and
+  /// reused across packets, so in steady state they allocate nothing.
   struct Scratch {
     std::vector<double> residual_re;
     std::vector<double> residual_im;
     std::vector<double> fold_re;  ///< pn::fold_chip_sums of residual_re
     std::vector<double> fold_im;  ///< pn::fold_chip_sums of residual_im
+    std::vector<bool> taken;            ///< codes already assigned a user
     std::vector<std::size_t> code_idx;  ///< untaken codes of the round
-    std::vector<pn::ComplexCorrelationPeak> peaks;  ///< engine batch output
-    std::unique_ptr<CorrelationEngine::Scratch> engine;  ///< lazily created
+    std::vector<pn::ComplexCorrelationPeak> peaks;  ///< peak batch output
+    PeakSearch::Scratch search;
   };
 
   /// `codes`: the group's PN codes (receiver knows all of them);
@@ -105,15 +99,12 @@ class UserDetector {
                std::size_t preamble_bits, std::size_t samples_per_chip);
 
   const UserDetectConfig& config() const { return config_; }
-  std::size_t group_size() const { return templates_.size(); }
-  /// The configured correlation engine (crossover introspection for tests
-  /// and the watchdog bench).
-  const CorrelationEngine& engine() const { return *engine_; }
+  std::size_t group_size() const { return search_.size(); }
 
   /// Detect users around `input.coarse_start` (the frame synchronizer's
   /// trigger). Returns every code whose correlation peak clears both
-  /// thresholds. The zero-allocation hot path: `scratch` is caller-owned
-  /// and reused across packets.
+  /// thresholds. `scratch` is caller-owned and reused across packets; the
+  /// returned vector is the call's only allocation once it has grown.
   std::vector<DetectedUser> detect(const DetectionInput& input,
                                    Scratch& scratch) const;
 
@@ -125,13 +116,12 @@ class UserDetector {
  private:
   UserDetectConfig config_;
   std::size_t samples_per_chip_;
-  std::vector<std::vector<double>> templates_;  ///< per-bit mean-removed preambles
-  /// Chip-level (not upsampled) counterparts of templates_ — the sliding
-  /// search runs on these against per-chip folded window sums, cutting each
-  /// lag's dot product by samples_per_chip×.
-  std::vector<std::vector<double>> chip_templates_;
-  std::vector<double> tmpl_norm2_;              ///< template energies (gain fits)
-  std::unique_ptr<CorrelationEngine> engine_;   ///< immutable after ctor
+  /// Owns the one copy of each code's chip-rate (not upsampled) mean-removed
+  /// preamble template. The search runs it against per-chip folded window
+  /// sums, cutting each lag's dot product by samples_per_chip×; SIC and
+  /// probe() expand it to sample rate on the fly.
+  PeakSearch search_;
+  std::vector<double> tmpl_norm2_;  ///< sample-rate template energies (gain fits)
 };
 
 }  // namespace cbma::rx

@@ -9,9 +9,10 @@
 //    percentiles, ≥ 10 named counters, a bounded flight recorder whose
 //    frames carry the causal fields, and a Chrome-trace export that parses.
 //
-// gtest_discover_tests runs each TEST in its own process, so the
-// process-global telemetry registry starts empty per test — the
-// sink_count() == 0 assertions below rely on that.
+// The telemetry registry is process-global and sinks are never
+// unregistered, so the sink-count assertions below compare against the
+// count before the run, and pass whether each TEST runs in its own process
+// (ctest) or all run in one (cbma_tests directly).
 #include "core/obs.h"
 
 #include <gtest/gtest.h>
@@ -22,6 +23,7 @@
 #include <fstream>
 #include <set>
 #include <sstream>
+#include <thread>
 #include <vector>
 
 #include "core/recorder.h"
@@ -87,10 +89,14 @@ RoundDigest run_rounds(const CbmaSystem& sys, std::uint64_t seed,
 TEST(Telemetry, DisabledRunAllocatesNoSinks) {
   obs::set(obs::kTelemetry, false);
   const auto sys = make_system(/*with_impairments=*/true);
-  (void)run_rounds(sys, 77, 4);
+  // Sinks are per thread and live as long as the process, so an earlier
+  // test in the same process may already have registered this thread's.
+  // A fresh thread has none: running the rounds there must not add one.
+  const auto before = obs::sink_count();
+  std::thread([&sys] { (void)run_rounds(sys, 77, 4); }).join();
   // No ScopedSpan, count() or record_frame() call may have touched the
   // registry: the off path must never allocate a thread sink.
-  EXPECT_EQ(obs::sink_count(), 0u);
+  EXPECT_EQ(obs::sink_count(), before);
   EXPECT_FALSE(telemetry::enabled());
 }
 
@@ -286,6 +292,7 @@ TEST(Telemetry, TraceFileIsWrittenEvenWhenTelemetryIsDisabled) {
   std::remove(path.c_str());
   obs::set_path(obs::kTrace, path);
   obs::set(obs::kTelemetry, false);
+  obs::reset();
   ASSERT_TRUE(obs::write_exports());
   obs::set_path(obs::kTrace, "");
 

@@ -5,8 +5,8 @@
 // event caps refuse work loudly, and the Prometheus text exposition is
 // well-formed (sanitized names, scope labels, meta gauges, atomic rewrite).
 //
-// Each TEST runs in its own process (gtest_discover_tests), so flipping the
-// switchboard here cannot leak into other tests.
+// The store is process-global: every TEST resets it before recording, so
+// the suite passes with one process per TEST (ctest) or all in one.
 #include "core/obs.h"
 
 #include <gtest/gtest.h>
@@ -32,6 +32,7 @@ std::size_t occurrences(const std::string& text, const std::string& needle) {
 
 TEST(UtilMetrics, DisabledRecordingIsAStrictNoOp) {
   obs::set(obs::kMetrics, false);
+  obs::reset();
   push("net.goodput_bps", {}, 1.0, "bps");
   push("net.cell.fer", "cell=3", 0.5);
   push_event(Severity::kWarning, "watchdog", {}, 2.0, "detail");

@@ -3,8 +3,9 @@
 // counter arithmetic, name-table completeness/uniqueness, and the
 // flight-recorder ring mechanics via direct record_frame calls.
 //
-// Each TEST runs in its own process (gtest_discover_tests), so enabling
-// telemetry here cannot leak into other tests.
+// The sinks are process-global and never unregistered: every TEST resets
+// the recorded data first and counts sinks relative to the count before it
+// ran, so the suite passes with one process per TEST (ctest) or all in one.
 #include "util/obs.h"
 
 #include <gtest/gtest.h>
@@ -13,6 +14,7 @@
 #include <cmath>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 namespace cbma::telemetry {
@@ -40,11 +42,16 @@ TEST(UtilTelemetry, SpanAndCounterNamesAreCompleteAndUnique) {
 
 TEST(UtilTelemetry, DisabledRecordingIsANoOp) {
   obs::set(obs::kTelemetry, false);
-  record_span(Span::kRxProcess, 1, 100);
-  count(Counter::kRxDetections, 5);
-  record_frame(FrameTrace{});
-  { const ScopedSpan span(Span::kRxDecode); }
-  EXPECT_EQ(obs::sink_count(), 0u);
+  obs::reset();
+  const auto sinks_before = obs::sink_count();
+  // A fresh thread has no sink yet; the off path must not give it one.
+  std::thread([] {
+    record_span(Span::kRxProcess, 1, 100);
+    count(Counter::kRxDetections, 5);
+    record_frame(FrameTrace{});
+    { const ScopedSpan span(Span::kRxDecode); }
+  }).join();
+  EXPECT_EQ(obs::sink_count(), sinks_before);
   const auto snap = snapshot();
   EXPECT_TRUE(snap.spans.empty());
   EXPECT_TRUE(snap.counters.empty());
@@ -127,15 +134,19 @@ TEST(UtilTelemetry, FrameRingWrapsAndSeqIsGlobal) {
 TEST(UtilTelemetry, ResetClearsDataButKeepsSinksRegistered) {
   obs::set(obs::kTelemetry, true);
   obs::reset();
-  record_span(Span::kSweepPoint, 1, 50);
-  count(Counter::kSweepPoints, 1);
-  ASSERT_EQ(obs::sink_count(), 1u);
+  const auto sinks_before = obs::sink_count();
+  // Record on a fresh thread so exactly one new sink appears.
+  std::thread([] {
+    record_span(Span::kSweepPoint, 1, 50);
+    count(Counter::kSweepPoints, 1);
+  }).join();
+  ASSERT_EQ(obs::sink_count(), sinks_before + 1);
   obs::reset();
   const auto snap = snapshot();
   obs::set(obs::kTelemetry, false);
   EXPECT_TRUE(snap.spans.empty());
   EXPECT_TRUE(snap.counters.empty());
-  EXPECT_EQ(obs::sink_count(), 1u);
+  EXPECT_EQ(obs::sink_count(), sinks_before + 1);
 }
 
 TEST(UtilTelemetry, TraceEventsCapturedOnlyWhenTraceFlagOn) {

@@ -45,13 +45,13 @@ profiler (DESIGN.md §7): every BM_<X>Profile row is paired with its
 profiler-off twin BM_<X> on ns_per_round, and the enabled run must stay
 within PROFILE_OVERHEAD_TOLERANCE (+2 %) of the twin.
 
-`--crossover` checks the detection-engine crossover policy instead of the
-baseline: it groups the BM_DetectPeaks{Naive,Fft,Auto}/K/L/W rows of a
-fresh run by grid point and, wherever the naive and FFT engines are
-clearly separated (>= CROSSOVER_SEPARATION apart), requires the auto
-engine to land within CROSSOVER_SLACK of the winner. That pins the auto
-cost model (rx::CorrelationEngine, DESIGN.md §8.2) to measured reality
-without hard-coding machine-dependent absolute times.
+`--crossover` checks the detection peak search's crossover policy instead
+of the baseline: it groups the BM_DetectPeaks{Naive,Fft,Auto}/K/L/W rows of
+a fresh run by grid point and, wherever the forced naive and FFT paths are
+clearly separated (>= CROSSOVER_SEPARATION apart), requires the size-picked
+Auto row to land within CROSSOVER_SLACK of the winner. That pins the cost
+model (rx::PeakSearch::peaks, DESIGN.md §8.2) to measured reality without
+hard-coding machine-dependent absolute times.
 """
 import json
 import re
